@@ -81,7 +81,7 @@ let check_path ?(tol_exact = 1e-9) ?(tol_grid = 0.05) (config : Config.t)
   (* Key validity: intra layers only, partitions within the layer's
      range (4^u for spatial layers, gate ids for the random layer). *)
   let bad_keys = ref 0 in
-  Hashtbl.iter
+  Path_coeffs.iter
     (fun (k : Path_coeffs.key) _ ->
       let valid =
         k.Path_coeffs.layer >= 1
@@ -93,7 +93,7 @@ let check_path ?(tol_exact = 1e-9) ?(tol_grid = 0.05) (config : Config.t)
         else k.Path_coeffs.partition >= 0 && k.Path_coeffs.partition < num_nodes
       in
       if not valid then incr bad_keys)
-    pa.Path_analysis.coeffs.Path_coeffs.coeffs;
+    pa.Path_analysis.coeffs;
   if !bad_keys > 0 then
     add
       (err ~rule:"check-var-key" ~location:loc
@@ -103,7 +103,7 @@ let check_path ?(tol_exact = 1e-9) ?(tol_grid = 0.05) (config : Config.t)
   (* Independent recomputation of the per-layer shares from the raw
      coefficient table. *)
   let shares = Array.make (Int.max layers 1) 0.0 in
-  Hashtbl.iter
+  Path_coeffs.iter
     (fun (k : Path_coeffs.key) c ->
       if k.Path_coeffs.layer >= 1 && k.Path_coeffs.layer < layers then begin
         let sigma = Params.sigma k.Path_coeffs.rv in
@@ -111,7 +111,7 @@ let check_path ?(tol_exact = 1e-9) ?(tol_grid = 0.05) (config : Config.t)
         shares.(k.Path_coeffs.layer) <-
           shares.(k.Path_coeffs.layer) +. (c *. c *. sigma *. sigma *. w)
       end)
-    pa.Path_analysis.coeffs.Path_coeffs.coeffs;
+    pa.Path_analysis.coeffs;
   let share_sum = Array.fold_left ( +. ) 0.0 shares in
   let reported = Path_coeffs.intra_variance pa.Path_analysis.coeffs b in
   if not (close ~tol:tol_exact share_sum reported) then

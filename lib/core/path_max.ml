@@ -13,9 +13,7 @@ let canonical_of_analysis (config : Config.t) (a : Path_analysis.t) =
   let coeffs = a.Path_analysis.coeffs in
   let terms = Hashtbl.create 64 in
   (* Intra layer RVs carry the Eq. (13) coefficients verbatim. *)
-  Hashtbl.iter
-    (fun key c -> Hashtbl.replace terms key c)
-    coeffs.Path_coeffs.coeffs;
+  Path_coeffs.iter (fun key c -> Hashtbl.replace terms key c) coeffs;
   (* The inter part is shared by every path: key it on layer 0. *)
   List.iter
     (fun rv ->

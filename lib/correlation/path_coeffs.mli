@@ -23,18 +23,36 @@ type t = {
       (** per-RV sum of the nominal delay derivatives over the path's
           gates — the linearized sensitivity of the whole path, used for
           analytic path-to-path covariances *)
-  coeffs : (key, float) Hashtbl.t;
-      (** intra layers only (layer >= 1): summed delay derivatives *)
+  keys : int array;
+      (** the distinct intra keys (layer >= 1), packed (see {!unpack}),
+          in layout order *)
+  values : float array;
+      (** [values.(i)] is the summed delay derivative of [keys.(i)] *)
 }
+(** {b Layout.}  The coefficient table is two flat arrays: one packed
+    int per (rv, layer, partition) key and one unboxed float per key.
+    Their order is a contract: it is exactly the order in which
+    [Hashtbl.fold] visits a [Hashtbl.create 64] filled by inserting each
+    key with [Hashtbl.replace] on its first touch, so every Eq. (14) sum
+    over the layout keeps the bits it had when the table was such a
+    hashtable.  For [n] keys, with [b] the smallest [64 * 2^k] such that
+    [n <= 2b], the layout visits keys in ascending
+    [Hashtbl.hash key land (b - 1)] and, within one such bucket, the
+    most recently first-touched key first.
+
+    [Hashtbl.hash] is unseeded, so unlike a hashtable created under
+    [OCAMLRUNPARAM=R] (or after [Hashtbl.randomize]) the order — and
+    every report built on it — does not depend on the process. *)
+
+val unpack : int -> key
+(** The key an element of [keys] stands for.  A packed key holds the rv
+    index in bits 0-2, the layer in bits 3-10 and the partition above. *)
 
 type workspace
-(** Reusable flat accumulation scratch for {!of_path}.  A workspace
-    replaces the per-(gate, rv, layer) hashtable find/replace pairs of
-    the reference path with epoch-stamped dense-array writes, then
-    rebuilds the public hashtable from the touched slots in first-touch
-    order — the result (including the hashtable's iteration order, and
-    hence every downstream float sum) is bit-identical to running
-    without one.  Single-domain scratch: never share across domains. *)
+(** Reusable flat accumulation scratch for {!of_path}: epoch-stamped
+    dense-array writes over the (rv, layer, partition) key space, plus a
+    per-slot cache of key hashes for the layout's counting sort.
+    Single-domain scratch: never share across domains. *)
 
 val workspace_create : unit -> workspace
 (** Empty workspace; sized lazily on first use and resized when the
@@ -54,22 +72,30 @@ val of_path :
     [grads], when given, must hold for every non-input node [id] the
     value [Derivatives.gradient (Graph.electrical_exn g id)
     Params.nominal]; callers analyzing many paths precompute it once per
-    graph.  [ws] enables the flat accumulation scratch.  Both options
-    leave every output bit unchanged. *)
+    graph.  [ws] defaults to a fresh workspace; callers analyzing many
+    paths reuse one.  Neither option changes any output bit. *)
+
+val iter : (key -> float -> unit) -> t -> unit
+(** Visit every intra key with its coefficient, in layout order. *)
+
+val fold : (key -> float -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over the intra keys in layout order. *)
 
 val intra_variance : t -> Budget.t -> float
-(** Eq. (14): [sum coeff^2 * sigma_layer^2] over all intra keys, with
-    per-layer sigmas from the budget and {!Ssta_tech.Params.sigma}. *)
+(** Eq. (14): [sum coeff^2 * sigma_layer^2] over all intra keys, in
+    layout order, with per-layer sigmas from the budget and
+    {!Ssta_tech.Params.sigma}. *)
 
 val layer_variances : t -> Budget.t -> float array
 (** Per-layer decomposition of {!intra_variance}: element [u] (for
     [1 <= u < Budget.layers budget]) is the variance contributed by
     layer [u]'s RVs; element 0 is 0 (the inter part is not in the
     coefficient table).  Summing the array recovers
-    [intra_variance t budget] exactly. *)
+    [intra_variance t budget] up to rounding. *)
 
 val coeff : t -> key -> float
-(** 0 when the key is absent. *)
+(** 0 when the key is absent.  A linear scan: callers looking up many
+    keys build their own index over [keys]. *)
 
 val num_layer_rvs : t -> int
 (** Number of distinct (rv, layer, partition) triples on the path — the

@@ -164,12 +164,17 @@ let test_coeffs_layer_structure () =
   let pc = Path_coeffs.of_path g pl layers path in
   check_true "has layer RVs" (Path_coeffs.num_layer_rvs pc > 0);
   (* No layer-0 keys: inter stays nonlinear. *)
-  Hashtbl.iter
-    (fun (key : Path_coeffs.key) _ ->
+  Path_coeffs.iter
+    (fun (key : Path_coeffs.key) c ->
       check_true "intra layers only" (key.Path_coeffs.layer >= 1);
       check_true "layer in range"
-        (key.Path_coeffs.layer < Layers.num_layers layers))
-    pc.Path_coeffs.coeffs
+        (key.Path_coeffs.layer < Layers.num_layers layers);
+      check_true "coeff reads the key's value" (Path_coeffs.coeff pc key = c))
+    pc;
+  check_true "absent key reads 0"
+    (Path_coeffs.coeff pc
+       { Path_coeffs.rv = Ssta_tech.Params.Tox; layer = 0; partition = 0 }
+    = 0.0)
 
 let test_coeffs_level1_sum_equals_gradient_sum () =
   (* On layer 1 the coefficients partition the path's gates, so summing
@@ -179,11 +184,11 @@ let test_coeffs_level1_sum_equals_gradient_sum () =
   List.iter
     (fun rv ->
       let total_by_partition = ref 0.0 in
-      Hashtbl.iter
+      Path_coeffs.iter
         (fun (key : Path_coeffs.key) c ->
           if key.Path_coeffs.layer = 1 && key.Path_coeffs.rv = rv then
             total_by_partition := !total_by_partition +. c)
-        pc.Path_coeffs.coeffs;
+        pc;
       let total_direct =
         Array.fold_left
           (fun acc id ->
@@ -213,23 +218,127 @@ let test_intra_variance_positive_and_split_sensitivity () =
   check_true "pure intra has more intra variance"
     (Path_coeffs.intra_variance pc pure_intra > v_equal)
 
+(* ---------------- Coefficient layout vs the hashtable oracle ---------------- *)
+
+(* The coefficient table as it was built before the flat layout: a
+   [Hashtbl.create 64] filled by first-touch [replace], with the
+   derivative evaluated inline.  [~random:false] keeps the oracle on the
+   unseeded hash even if the process randomizes hashtables.  Its fold
+   order and every sum over it are what [Path_coeffs] must reproduce. *)
+let oracle_table g pl layers (path : Paths.path) =
+  let coeffs = Hashtbl.create ~random:false 64 in
+  Array.iter
+    (fun id ->
+      if not (Graph.is_input g id) then begin
+        let x, y = Placement.coord pl id in
+        let grad =
+          Ssta_tech.Derivatives.gradient (Graph.electrical_exn g id)
+            Ssta_tech.Params.nominal
+        in
+        List.iter
+          (fun rv ->
+            let d = Ssta_tech.Params.get grad rv in
+            for layer = 1 to Layers.num_layers layers - 1 do
+              let partition =
+                Layers.partition_of_gate layers ~level:layer ~gate_id:id ~x ~y
+              in
+              let key = { Path_coeffs.rv; layer; partition } in
+              let prev = try Hashtbl.find coeffs key with Not_found -> 0.0 in
+              Hashtbl.replace coeffs key (prev +. d)
+            done)
+          Ssta_tech.Params.all_rvs
+      end)
+    path.Paths.nodes;
+  coeffs
+
+let oracle_sigma budget (key : Path_coeffs.key) =
+  Budget.sigma_of_layer budget
+    ~total_sigma:(Ssta_tech.Params.sigma key.Path_coeffs.rv)
+    key.Path_coeffs.layer
+
+let oracle_intra_variance tbl budget =
+  Hashtbl.fold
+    (fun key c acc ->
+      let sigma = oracle_sigma budget key in
+      acc +. (c *. c *. sigma *. sigma))
+    tbl 0.0
+
+let oracle_layer_variances tbl budget =
+  let n = Budget.layers budget in
+  let shares = Array.make n 0.0 in
+  Hashtbl.iter
+    (fun (key : Path_coeffs.key) c ->
+      if key.Path_coeffs.layer >= 1 && key.Path_coeffs.layer < n then begin
+        let sigma = oracle_sigma budget key in
+        shares.(key.Path_coeffs.layer) <-
+          shares.(key.Path_coeffs.layer) +. (c *. c *. sigma *. sigma)
+      end)
+    tbl;
+  shares
+
+let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* [None] when [pc] matches the oracle entry by entry (same keys, same
+   order, same coefficient bits) and bit for bit on both Eq. 14 sums;
+   otherwise the first mismatch. *)
+let layout_mismatch tbl (pc : Path_coeffs.t) budget =
+  let entries fold t = List.rev (fold (fun k v acc -> (k, v) :: acc) t []) in
+  let want = entries Hashtbl.fold tbl and got = entries Path_coeffs.fold pc in
+  let rec first i = function
+    | [], [] -> None
+    | (k, v) :: w, (k', v') :: g ->
+        if k <> k' || not (bits_equal v v') then
+          Some (Printf.sprintf "entry %d differs" i)
+        else first (i + 1) (w, g)
+    | _ ->
+        Some
+          (Printf.sprintf "%d keys in the oracle, %d in the layout"
+             (List.length want) (List.length got))
+  in
+  match first 0 (want, got) with
+  | Some _ as m -> m
+  | None ->
+      if
+        not
+          (bits_equal
+             (oracle_intra_variance tbl budget)
+             (Path_coeffs.intra_variance pc budget))
+      then Some "intra_variance bits differ"
+      else if
+        not
+          (Array.for_all2 bits_equal
+             (oracle_layer_variances tbl budget)
+             (Path_coeffs.layer_variances pc budget))
+      then Some "layer_variances bits differ"
+      else if Path_coeffs.num_layer_rvs pc <> Hashtbl.length tbl then
+        Some "num_layer_rvs differs"
+      else None
+
+let grads_of g =
+  Array.init (Graph.num_nodes g) (fun id ->
+      match g.Graph.electrical.(id) with
+      | Some e -> Ssta_tech.Derivatives.gradient e Ssta_tech.Params.nominal
+      | None -> Ssta_tech.Params.zero)
+
+let check_layout ?ws ?grads what g pl layers path budget =
+  match
+    layout_mismatch
+      (oracle_table g pl layers path)
+      (Path_coeffs.of_path ?grads ?ws g pl layers path)
+      budget
+  with
+  | None -> ()
+  | Some m -> Alcotest.failf "%s: %s" what m
+
 let test_of_path_fast_options_bit_identical () =
   (* [~grads] and [~ws] are pure accelerations: every field of the
-     result — including the coefficient hashtable's contents and
-     first-touch insertion order, which downstream float sums iterate —
-     must match the plain path exactly. *)
+     result must match the plain call exactly, and the coefficient
+     layout must match the hashtable oracle in order and bits. *)
   let g, pl, layers, path = context () in
+  let budget = Budget.equal ~layers:(Layers.num_layers layers) in
   let reference = Path_coeffs.of_path g pl layers path in
-  let grads =
-    Array.init (Graph.num_nodes g) (fun id ->
-        match g.Graph.electrical.(id) with
-        | Some e -> Ssta_tech.Derivatives.gradient e Ssta_tech.Params.nominal
-        | None -> Ssta_tech.Params.zero)
-  in
+  let grads = grads_of g in
   let ws = Path_coeffs.workspace_create () in
-  let dump (t : Path_coeffs.t) =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.Path_coeffs.coeffs []
-  in
   let same what (fast : Path_coeffs.t) =
     check_true (what ^ ": alpha_sum")
       (fast.Path_coeffs.alpha_sum = reference.Path_coeffs.alpha_sum);
@@ -245,14 +354,113 @@ let test_of_path_fast_options_bit_identical () =
           (Ssta_tech.Params.get fast.Path_coeffs.grad_sum rv
           = Ssta_tech.Params.get reference.Path_coeffs.grad_sum rv))
       Ssta_tech.Params.all_rvs;
-    check_true (what ^ ": coeff table incl. iteration order")
-      (dump fast = dump reference)
+    match layout_mismatch (oracle_table g pl layers path) fast budget with
+    | None -> ()
+    | Some m -> Alcotest.failf "%s: %s" what m
   in
+  same "plain" reference;
   same "grads" (Path_coeffs.of_path ~grads g pl layers path);
   same "ws" (Path_coeffs.of_path ~ws g pl layers path);
   same "grads+ws" (Path_coeffs.of_path ~grads ~ws g pl layers path);
   (* second call reuses the workspace's epoch-stamped scratch *)
   same "ws reuse" (Path_coeffs.of_path ~grads ~ws g pl layers path)
+
+(* Random circuits, placements and layerings; several enumerated paths
+   per case, all through one reused workspace. *)
+let layout_case_gen =
+  QCheck.(
+    quad
+      (pair (int_range 10 120) (int_range 2 10))
+      (int_range 0 2)
+      (pair (int_range 1 5) bool)
+      (int_range 0 10_000))
+
+let prop_layout_matches_hashtable =
+  qcheck ~count:60 "coefficient layout = hashtable fold order"
+    layout_case_gen
+    (fun ((gates, depth), strat, (quad_levels, random_layer), seed) ->
+      let c =
+        Generators.random_layered ~name:"lay" ~inputs:6 ~outputs:3 ~gates
+          ~depth ~seed ()
+      in
+      let strategy =
+        match strat with
+        | 0 -> Placement.Levelized
+        | 1 -> Placement.Row_major
+        | _ -> Placement.Scattered seed
+      in
+      let pl = Placement.place ~strategy c in
+      let layers = Layers.of_placement ~quad_levels ~random_layer pl in
+      let budget = Budget.equal ~layers:(Layers.num_layers layers) in
+      let g = Graph.of_netlist c in
+      let labels = Longest_path.bellman_ford g in
+      let enum =
+        Paths.enumerate ~max_paths:8 g ~labels
+          ~slack:(0.5 *. Longest_path.critical_delay g labels)
+      in
+      let ws = Path_coeffs.workspace_create () in
+      List.for_all
+        (fun path ->
+          layout_mismatch
+            (oracle_table g pl layers path)
+            (Path_coeffs.of_path ~ws g pl layers path)
+            budget
+          = None)
+        enum.Paths.paths)
+
+let test_layout_iscas85_first_paths () =
+  List.iter
+    (fun spec ->
+      let c, pl = Iscas85.build_placed spec in
+      let sta = Sta.analyze c in
+      let g = sta.Sta.graph in
+      let layers = Layers.of_placement pl in
+      let budget = Budget.equal ~layers:(Layers.num_layers layers) in
+      let enum =
+        Sta.near_critical ~max_paths:4 sta
+          ~slack:(0.05 *. sta.Sta.critical_delay)
+      in
+      let grads = grads_of g and ws = Path_coeffs.workspace_create () in
+      List.iteri
+        (fun i path ->
+          check_layout ~grads ~ws
+            (Printf.sprintf "%s path %d" spec.Iscas85.name i)
+            g pl layers path budget)
+        (sta.Sta.critical_path :: enum.Paths.paths))
+    Iscas85.all
+
+let test_layout_resize_boundaries () =
+  (* A table of n keys has the smallest 64 * 2^k buckets with n <= 2b.
+     With only the per-gate random layer every gate adds exactly five
+     keys (one per RV), so n is a multiple of 5: 125/130, 255/260 and
+     510/515 sit on both sides of the resizes at 128, 256 and 512. *)
+  let c = Generators.chain ~name:"long" ~length:110 () in
+  let g = Graph.of_netlist c in
+  let pl = Placement.place c in
+  let layers = Layers.of_placement ~quad_levels:1 ~random_layer:true pl in
+  let budget = Budget.equal ~layers:(Layers.num_layers layers) in
+  let gates =
+    List.filter
+      (fun id -> not (Graph.is_input g id))
+      (List.init (Graph.num_nodes g) Fun.id)
+  in
+  let ws = Path_coeffs.workspace_create () in
+  List.iter
+    (fun (keys, buckets) ->
+      let nodes = Array.of_list (List.filteri (fun i _ -> i < keys / 5) gates) in
+      let path = { Paths.nodes; delay = Paths.recompute_delay g nodes } in
+      let tbl = oracle_table g pl layers path in
+      check_int (Printf.sprintf "%d keys" keys) keys (Hashtbl.length tbl);
+      check_int
+        (Printf.sprintf "%d keys fill %d buckets" keys buckets)
+        buckets (Hashtbl.stats tbl).Hashtbl.num_buckets;
+      match
+        layout_mismatch tbl (Path_coeffs.of_path ~ws g pl layers path) budget
+      with
+      | None -> ()
+      | Some m -> Alcotest.failf "%d keys: %s" keys m)
+    [ (5, 64); (125, 64); (130, 128); (255, 128); (260, 256); (510, 256);
+      (515, 512) ]
 
 let test_correlation_increases_variance () =
   (* Two gates in the same partition add coefficients before squaring:
@@ -307,5 +515,10 @@ let suite =
         test_intra_variance_positive_and_split_sensitivity;
       case "of_path grads/workspace options are bit-identical"
         test_of_path_fast_options_bit_identical;
+      prop_layout_matches_hashtable;
+      case "layout matches the hashtable on ISCAS85 first paths"
+        test_layout_iscas85_first_paths;
+      case "layout across hashtable resize boundaries"
+        test_layout_resize_boundaries;
       case "spatial correlation increases path variance"
         test_correlation_increases_variance ] )

@@ -282,7 +282,7 @@ let test_shared_keys () =
   match coeffs with
   | a :: _ ->
       check_int "a path shares all its keys with itself"
-        (Hashtbl.length a.Path_coeffs.coeffs)
+        (Path_coeffs.num_layer_rvs a)
         (Path_correlation.shared_keys a a)
   | [] -> Alcotest.fail "no paths"
 
