@@ -1,10 +1,11 @@
-(* Benchmark harness: regenerates every table and figure of the paper
-   (printing the same rows/series it reports) and then times one
-   representative kernel per artifact with Bechamel.
+(* Paper reproduction harness: regenerates every table and figure of the
+   paper and the ablations around them, printing the same rows and
+   series the paper reports.  Speed is measured by perfbench/, not here.
 
-     dune exec bench/main.exe                 # everything
+     dune exec bench/main.exe                 # every artifact
      dune exec bench/main.exe -- table2 fig5  # a subset
-     dune exec bench/main.exe -- --no-bechamel *)
+
+   An argument that names no artifact is a usage error (exit 2). *)
 
 module Iscas85 = Ssta_circuit.Iscas85
 module Sensitivity = Ssta_tech.Sensitivity
@@ -12,11 +13,8 @@ module Convexity = Ssta_tech.Convexity
 module Elmore = Ssta_tech.Elmore
 module Sta = Ssta_timing.Sta
 module Pdf = Ssta_prob.Pdf
-module Dist = Ssta_prob.Dist
-module Combine = Ssta_prob.Combine
 module Stats = Ssta_prob.Stats
 module Rng = Ssta_prob.Rng
-module Pool = Ssta_parallel.Pool
 open Ssta_core
 
 let section name = Fmt.pr "@.=== %s ===@." name
@@ -419,1090 +417,6 @@ let pipeline () =
           paper's ~55%%)@."
 
 (* ------------------------------------------------------------------ *)
-(* Parallel scaling: the whole methodology at several worker counts.   *)
-
-(* Wall-clock and speedup per benchmark at jobs in {1, 2, 4, 8}, with a
-   byte-identity check of the deterministic JSON report across worker
-   counts, written to BENCH_parallel.json.  Speedups are honest numbers
-   for the host this ran on: on a single-core machine every speedup is
-   ~1.0 by construction (extra domains just time-share the core). *)
-let parallel_jobs = [ 1; 2; 4; 8 ]
-
-let parallel () =
-  section
-    (Printf.sprintf
-       "Parallel scaling at jobs in {1, 2, 4, 8} (host: %d core(s))"
-       (Pool.default_jobs ()));
-  let max_paths = 2000 in
-  Fmt.pr "  %-7s" "name";
-  List.iter (fun j -> Fmt.pr " %8s" (Printf.sprintf "j=%d (s)" j))
-    parallel_jobs;
-  Fmt.pr " %8s %13s@." "speedup4" "deterministic";
-  let rows =
-    List.map
-      (fun (spec : Iscas85.spec) ->
-        let circuit, placement = Iscas85.build_placed spec in
-        let config =
-          Config.with_confidence Config.default
-            spec.Iscas85.paper.Iscas85.confidence
-        in
-        let config = { config with Config.max_paths } in
-        let runs =
-          List.map
-            (fun jobs ->
-              Pool.with_pool ~jobs (fun pool ->
-                  let t0 = Unix.gettimeofday () in
-                  let m = Methodology.run ~config ~placement ~pool circuit in
-                  let wall = Unix.gettimeofday () -. t0 in
-                  (jobs, wall, Report.json_report m)))
-            parallel_jobs
-        in
-        let _, wall1, report1 = List.hd runs in
-        let deterministic =
-          List.for_all (fun (_, _, r) -> String.equal r report1) runs
-        in
-        let speedup wall = if wall > 0.0 then wall1 /. wall else 1.0 in
-        Fmt.pr "  %-7s" spec.Iscas85.name;
-        List.iter (fun (_, w, _) -> Fmt.pr " %8.3f" w) runs;
-        let speedup4 =
-          match List.find_opt (fun (j, _, _) -> j = 4) runs with
-          | Some (_, w, _) -> speedup w
-          | None -> 1.0
-        in
-        Fmt.pr " %7.2fx %13s@." speedup4
-          (if deterministic then "yes" else "NO");
-        (spec.Iscas85.name, runs, deterministic))
-      Iscas85.all
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  let out fmt = Printf.ksprintf (output_string oc) fmt in
-  out "{\"host_cores\":%d,\"max_paths\":%d,\"benchmarks\":[\n"
-    (Pool.default_jobs ()) max_paths;
-  List.iteri
-    (fun i (name, runs, deterministic) ->
-      let _, wall1, _ = List.hd runs in
-      out "  {\"name\":\"%s\",\"deterministic\":%b,\"runs\":[%s]}%s\n" name
-        deterministic
-        (String.concat ","
-           (List.map
-              (fun (j, w, _) ->
-                Printf.sprintf
-                  "{\"jobs\":%d,\"wall_s\":%.4f,\"speedup\":%.3f}" j w
-                  (if w > 0.0 then wall1 /. w else 1.0))
-              runs))
-        (if i = List.length rows - 1 then "" else ",");
-      ())
-    rows;
-  out "]}\n";
-  close_out oc;
-  Fmt.pr "  wrote BENCH_parallel.json@.";
-  if List.exists (fun (_, _, d) -> not d) rows then
-    failwith "parallel runs diverged from the sequential report"
-
-(* ------------------------------------------------------------------ *)
-(* Hot path: the inter-kernel cache A/B harness.                       *)
-
-(* jobs=1 walls recorded in BENCH_parallel.json by the PR that added the
-   parallel harness — the fixed baseline this and future perf PRs
-   measure against (host-dependent; same single-core class of machine). *)
-let seed_walls =
-  [ ("c432", 0.0236); ("c499", 3.8724); ("c880", 0.0393);
-    ("c1355", 6.7144); ("c1908", 0.1969); ("c2670", 0.3463);
-    ("c3540", 0.2768); ("c5315", 0.0409); ("c6288", 8.5582);
-    ("c7552", 0.0633) ]
-
-let hotpath_only : string list ref = ref []
-let hotpath_assert = ref false
-
-(* A/B of the scale-covariant inter-kernel cache at jobs=1: wall clock
-   cached vs uncached, cache traffic (from the health counters), one
-   cold-vs-warm kernel timing, the worst per-path statistic divergence,
-   and the speedup against the recorded seed walls.  Written to
-   BENCH_hotpath.json as the perf trajectory artifact. *)
-let hotpath () =
-  section "Hot path: scale-covariant inter-kernel cache A/B (jobs=1)";
-  let max_paths = 2000 in
-  let specs =
-    match !hotpath_only with
-    | [] -> Iscas85.all
-    | names -> List.filter_map Iscas85.by_name names
-  in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  Fmt.pr "  %-7s %11s %11s %8s %8s %9s %11s@." "name" "uncached(s)"
-    "cached(s)" "speedup" "hitrate" "vs-seed" "maxreldiff";
-  let rows =
-    List.map
-      (fun (spec : Iscas85.spec) ->
-        let name = spec.Iscas85.name in
-        let circuit, placement = Iscas85.build_placed spec in
-        let config =
-          Config.with_confidence Config.default
-            spec.Iscas85.paper.Iscas85.confidence
-        in
-        let config = { config with Config.max_paths } in
-        let timed_run cfg =
-          let t0 = Unix.gettimeofday () in
-          let m = Methodology.run ~config:cfg ~placement circuit in
-          (m, Unix.gettimeofday () -. t0)
-        in
-        let m_off, wall_off =
-          timed_run { config with Config.inter_cache = false }
-        in
-        let m_on, wall_on =
-          timed_run { config with Config.inter_cache = true }
-        in
-        (* Per-path statistics must agree within 1e-9 relative.  Paths
-           are matched by det_rank (set by the cache-independent
-           enumeration): confidence ties may order ranked arrays
-           differently under 1e-12-level perturbations. *)
-        let by_det = Hashtbl.create 256 in
-        Array.iter
-          (fun (r : Ranking.ranked) ->
-            Hashtbl.replace by_det r.Ranking.det_rank r.Ranking.analysis)
-          m_off.Methodology.ranked;
-        let max_rel = ref 0.0 in
-        let rel a b =
-          Float.abs (a -. b)
-          /. Float.max 1e-300 (Float.max (Float.abs a) (Float.abs b))
-        in
-        Array.iter
-          (fun (r : Ranking.ranked) ->
-            match Hashtbl.find_opt by_det r.Ranking.det_rank with
-            | None -> fail "%s: ranked path sets differ across A/B" name
-            | Some off ->
-                let on = r.Ranking.analysis in
-                List.iter
-                  (fun (a, b) -> max_rel := Float.max !max_rel (rel a b))
-                  [ (on.Path_analysis.mean, off.Path_analysis.mean);
-                    (on.Path_analysis.std, off.Path_analysis.std);
-                    (on.Path_analysis.confidence_point,
-                     off.Path_analysis.confidence_point) ])
-          m_on.Methodology.ranked;
-        let counter n =
-          Ssta_runtime.Health.counter m_on.Methodology.health n
-        in
-        let lookups = counter "inter-cache-lookups" in
-        let distinct = counter "inter-cache-distinct" in
-        let hits = counter "inter-cache-hits" in
-        let hit_rate =
-          if lookups > 0 then float_of_int hits /. float_of_int lookups
-          else 0.0
-        in
-        (* One cold (uncached) vs warm (cache hit) kernel call on the
-           critical path's coefficients. *)
-        let sta = m_on.Methodology.sta in
-        let tables = Inter.tables config in
-        let coeffs =
-          Ssta_correlation.Path_coeffs.of_path sta.Sta.graph placement
-            (Config.layers_for config placement)
-            sta.Sta.critical_path
-        in
-        let time_us f =
-          let t0 = Unix.gettimeofday () in
-          ignore (f ());
-          (Unix.gettimeofday () -. t0) *. 1e6
-        in
-        let cold_us = time_us (fun () -> Inter.of_coeffs tables coeffs) in
-        let cache = Inter.cache_create tables in
-        ignore (Inter.of_coeffs ~cache tables coeffs);
-        let warm_us = time_us (fun () -> Inter.of_coeffs ~cache tables coeffs) in
-        let speedup = if wall_on > 0.0 then wall_off /. wall_on else 1.0 in
-        let seed = List.assoc_opt name seed_walls in
-        let vs_seed =
-          match seed with
-          | Some s when wall_on > 0.0 -> s /. wall_on
-          | _ -> 1.0
-        in
-        if !max_rel > 1e-9 then
-          fail "%s: cached statistics diverge by %.3g relative (tol 1e-9)"
-            name !max_rel;
-        if !hotpath_assert then begin
-          if lookups > 0 && hits = 0 then
-            fail "%s: cache hit rate is zero" name;
-          if wall_on > wall_off *. 1.05 then
-            fail "%s: cached run slower than uncached (%.3fs vs %.3fs)" name
-              wall_on wall_off
-        end;
-        Fmt.pr "  %-7s %11.3f %11.3f %7.2fx %7.1f%% %8.2fx %11.2e@." name
-          wall_off wall_on speedup (hit_rate *. 100.0) vs_seed !max_rel;
-        (name, wall_off, wall_on, speedup, seed, vs_seed, lookups, distinct,
-         hits, hit_rate, cold_us, warm_us, !max_rel))
-      specs
-  in
-  let oc = open_out "BENCH_hotpath.json" in
-  let out fmt = Printf.ksprintf (output_string oc) fmt in
-  out "{\"host_cores\":%d,\"max_paths\":%d,\"benchmarks\":[\n"
-    (Pool.default_jobs ()) max_paths;
-  List.iteri
-    (fun i
-         (name, wall_off, wall_on, speedup, seed, vs_seed, lookups, distinct,
-          hits, hit_rate, cold_us, warm_us, max_rel) ->
-      out
-        "  {\"name\":\"%s\",\"wall_uncached_s\":%.4f,\"wall_cached_s\":%.4f,\
-         \"speedup\":%.3f,%s\"speedup_vs_seed\":%.3f,\
-         \"cache\":{\"lookups\":%d,\"distinct\":%d,\"hits\":%d,\
-         \"hit_rate\":%.4f},\"kernel_cold_us\":%.1f,\"kernel_warm_us\":%.1f,\
-         \"max_rel_diff\":%.3e}%s\n"
-        name wall_off wall_on speedup
-        (match seed with
-        | Some s -> Printf.sprintf "\"seed_wall_s\":%.4f," s
-        | None -> "")
-        vs_seed lookups distinct hits hit_rate cold_us warm_us max_rel
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "]}\n";
-  close_out oc;
-  Fmt.pr "  wrote BENCH_hotpath.json@.";
-  match !failures with
-  | [] -> ()
-  | fs ->
-      List.iter (fun f -> Fmt.epr "  FAIL: %s@." f) fs;
-      failwith "hotpath assertions failed"
-
-(* ------------------------------------------------------------------ *)
-(* Screening: the affine path-screener A/B harness.                    *)
-
-(* A/B of the affine suffix-bound screener at jobs=1: near-critical
-   enumeration with and without pruning must return byte-identical
-   records (the screener's proof obligation — pruning only skips
-   provably sub-threshold subtrees), while the pruned run saves frontier
-   work.  Written to BENCH_screening.json as the screening artifact. *)
-let render_enumeration (e : Ssta_timing.Paths.enumeration) =
-  let module Paths = Ssta_timing.Paths in
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (p : Paths.path) ->
-      Buffer.add_string b (Printf.sprintf "%.17g|" p.Paths.delay);
-      Array.iter
-        (fun id ->
-          Buffer.add_string b (string_of_int id);
-          Buffer.add_char b ',')
-        p.Paths.nodes;
-      Buffer.add_char b '\n')
-    e.Paths.paths;
-  Buffer.add_string b
-    (Printf.sprintf "explored=%d truncated=%b deadline=%b" e.Paths.explored
-       e.Paths.truncated e.Paths.deadline_hit);
-  Buffer.contents b
-
-let screening () =
-  section "Screening: affine suffix-bound path pruning A/B (jobs=1)";
-  let module Affine = Ssta_check.Affine in
-  let module Paths = Ssta_timing.Paths in
-  let max_paths = 2000 in
-  let specs =
-    match !hotpath_only with
-    | [] -> Iscas85.all
-    | names -> List.filter_map Iscas85.by_name names
-  in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  Fmt.pr "  %-7s %7s %7s %9s %12s %11s %6s %5s@." "name" "nodes" "pruned"
-    "fraction" "unpruned(s)" "pruned(s)" "paths" "equal";
-  let rows =
-    List.map
-      (fun (spec : Iscas85.spec) ->
-        let name = spec.Iscas85.name in
-        let circuit, placement = Iscas85.build_placed spec in
-        let config =
-          Config.with_confidence Config.default
-            spec.Iscas85.paper.Iscas85.confidence
-        in
-        let config = { config with Config.max_paths } in
-        let sta = Sta.analyze circuit in
-        let ctx = Path_analysis.context config sta.Sta.graph placement in
-        let det = Path_analysis.analyze ctx sta.Sta.critical_path in
-        let slack = config.Config.confidence *. det.Path_analysis.std in
-        let aff =
-          match Affine.compute config sta.Sta.graph with
-          | Ok aff -> aff
-          | Error msg -> Fmt.failwith "%s: affine analysis failed: %s" name msg
-        in
-        let sc = Affine.screen aff sta ~slack in
-        let time_run f =
-          let t0 = Unix.gettimeofday () in
-          let e = f () in
-          (e, Unix.gettimeofday () -. t0)
-        in
-        let base, wall_base =
-          time_run (fun () -> Sta.near_critical ~max_paths sta ~slack)
-        in
-        let pruned, wall_pruned =
-          time_run (fun () ->
-              Sta.near_critical ~max_paths ~prune:(Affine.prune_hook sc) sta
-                ~slack)
-        in
-        let equal =
-          String.equal (render_enumeration base) (render_enumeration pruned)
-        in
-        let fraction =
-          if sc.Affine.nodes_visited > 0 then
-            float_of_int sc.Affine.nodes_pruned
-            /. float_of_int sc.Affine.nodes_visited
-          else 0.0
-        in
-        if not equal then
-          fail "%s: pruned enumeration diverges from the unpruned one" name;
-        if !hotpath_assert && fraction <= 0.0 then
-          fail "%s: screener pruned nothing (fraction %.4f)" name fraction;
-        Fmt.pr "  %-7s %7d %7d %8.1f%% %12.3f %11.3f %6d %5s@." name
-          sc.Affine.nodes_visited sc.Affine.nodes_pruned (fraction *. 100.0)
-          wall_base wall_pruned
-          (List.length base.Paths.paths)
-          (if equal then "yes" else "NO");
-        (name, sc.Affine.nodes_visited, sc.Affine.nodes_pruned, fraction,
-         wall_base, wall_pruned, List.length base.Paths.paths, equal))
-      specs
-  in
-  let oc = open_out "BENCH_screening.json" in
-  let out fmt = Printf.ksprintf (output_string oc) fmt in
-  out "{\"max_paths\":%d,\"benchmarks\":[\n" max_paths;
-  List.iteri
-    (fun i (name, nodes, pruned, fraction, wall_base, wall_pruned, paths,
-            equal) ->
-      out
-        "  {\"name\":\"%s\",\"nodes\":%d,\"pruned\":%d,\"fraction\":%.4f,\
-         \"wall_unpruned_s\":%.4f,\"wall_pruned_s\":%.4f,\"paths\":%d,\
-         \"equal\":%b}%s\n"
-        name nodes pruned fraction wall_base wall_pruned paths equal
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "]}\n";
-  close_out oc;
-  Fmt.pr "  wrote BENCH_screening.json@.";
-  match !failures with
-  | [] -> ()
-  | fs ->
-      List.iter (fun f -> Fmt.epr "  FAIL: %s@." f) fs;
-      failwith "screening assertions failed"
-
-(* ------------------------------------------------------------------ *)
-(* Incremental: edit-to-answer latency vs a full rerun.                 *)
-
-(* A single-gate resize (drive 1.25) applied to a warm incremental
-   image (Ssta_check.Impact): time the baseline init, the incremental
-   re-analysis, and a warm-backed from-scratch run of the same edited
-   design, and byte-compare the two reports.  The edited gate is the
-   one whose dirty set ({g} + fanins) covers the fewest enumerated
-   near-critical paths — the representative local ECO (fixing a buffer
-   off the critical region), deterministic per circuit.  Timings are
-   the min of two runs.  Written to BENCH_incremental.json as the
-   edit-to-answer artifact. *)
-let incremental () =
-  section "Incremental: dependence-cone re-analysis after one edit (jobs=1)";
-  let module Impact = Ssta_check.Impact in
-  let module Netlist = Ssta_circuit.Netlist in
-  let max_paths = 2000 in
-  let specs =
-    match !hotpath_only with
-    | [] -> Iscas85.all
-    | names -> List.filter_map Iscas85.by_name names
-  in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  Fmt.pr "  %-7s %8s %8s %8s %8s %6s %7s %7s %6s@." "name" "init(s)"
-    "incr(s)" "full(s)" "speedup" "cone" "reused" "reanal" "equal";
-  let rows =
-    List.map
-      (fun (spec : Iscas85.spec) ->
-        let name = spec.Iscas85.name in
-        let circuit, placement = Iscas85.build_placed spec in
-        let config =
-          Config.with_confidence Config.default
-            spec.Iscas85.paper.Iscas85.confidence
-        in
-        let config = { config with Config.max_paths } in
-        let d = Impact.design ~placement ~config circuit in
-        let time f =
-          let t0 = Unix.gettimeofday () in
-          let v = f () in
-          (v, Unix.gettimeofday () -. t0)
-        in
-        let or_fail = function
-          | Ok v -> v
-          | Error e ->
-              Fmt.failwith "%s: %s" name
-                (Ssta_runtime.Ssta_error.to_string e)
-        in
-        let (state, baseline), init_s =
-          time (fun () -> or_fail (Impact.init d))
-        in
-        (* Least-covered gate: re-enumerate the near-critical paths of
-           the baseline and pick the gate whose dirty set touches the
-           fewest of them. *)
-        let gate =
-          let module Paths = Ssta_timing.Paths in
-          let n = Netlist.num_nodes circuit in
-          let count = Array.make n 0 in
-          let e =
-            Sta.near_critical ~max_paths baseline.Methodology.sta
-              ~slack:baseline.Methodology.slack
-          in
-          List.iter
-            (fun (p : Paths.path) ->
-              Array.iter
-                (fun id -> count.(id) <- count.(id) + 1)
-                p.Paths.nodes)
-            e.Paths.paths;
-          let best = ref circuit.Netlist.num_inputs in
-          let best_cost = ref max_int in
-          for id = circuit.Netlist.num_inputs to n - 1 do
-            let g = Netlist.gate_of circuit id in
-            let cost =
-              Array.fold_left
-                (fun acc f -> acc + count.(f))
-                count.(id) g.Netlist.fanins
-            in
-            if cost < !best_cost then begin
-              best := id;
-              best_cost := cost
-            end
-          done;
-          Netlist.node_name circuit !best
-        in
-        let edit =
-          or_fail
-            (Ssta_circuit.Edit.parse_string_res
-               (Printf.sprintf "resize %s 1.25" gate))
-        in
-        let _, probe_s =
-          time (fun () -> or_fail (Impact.what_if state edit))
-        in
-        let o, commit_s =
-          time (fun () -> or_fail (Impact.reanalyze state edit))
-        in
-        let incr_s = Float.min probe_s commit_s in
-        let edited = Impact.design_of state in
-        let m_scratch, full1_s =
-          time (fun () -> or_fail (Impact.scratch edited))
-        in
-        let _, full2_s = time (fun () -> or_fail (Impact.scratch edited)) in
-        let full_s = Float.min full1_s full2_s in
-        let identical =
-          String.equal
-            (Report.json_report o.Impact.report)
-            (Report.json_report m_scratch)
-        in
-        let speedup = if incr_s > 0.0 then full_s /. incr_s else 1.0 in
-        if not identical then
-          fail "%s: incremental report diverges from the from-scratch run"
-            name;
-        if !hotpath_assert && incr_s >= full_s then
-          fail "%s: incremental (%.4fs) not faster than full rerun (%.4fs)"
-            name incr_s full_s;
-        Fmt.pr "  %-7s %8.3f %8.3f %8.3f %7.2fx %6d %7d %7d %6s@." name
-          init_s incr_s full_s speedup o.Impact.cone.Impact.cone_nodes
-          o.Impact.reused o.Impact.reanalyzed
-          (if identical then "yes" else "NO");
-        (name, gate, init_s, incr_s, full_s, speedup,
-         o.Impact.cone.Impact.cone_nodes, o.Impact.invalidated,
-         o.Impact.reused, o.Impact.reanalyzed, identical))
-      specs
-  in
-  let oc = open_out "BENCH_incremental.json" in
-  let out fmt = Printf.ksprintf (output_string oc) fmt in
-  out
-    "{\"max_paths\":%d,\"edit\":\"resize least-covered-gate 1.25\",\
-     \"benchmarks\":[\n"
-    max_paths;
-  List.iteri
-    (fun i
-         (name, gate, init_s, incr_s, full_s, speedup, cone, invalidated,
-          reused, reanalyzed, identical) ->
-      out
-        "  {\"name\":\"%s\",\"gate\":\"%s\",\"init_s\":%.4f,\
-         \"incremental_s\":%.4f,\"full_s\":%.4f,\"speedup\":%.3f,\
-         \"cone_nodes\":%d,\"invalidated\":%d,\"reused\":%d,\
-         \"reanalyzed\":%d,\"identical\":%b}%s\n"
-        name gate init_s incr_s full_s speedup cone invalidated reused
-        reanalyzed identical
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "]}\n";
-  close_out oc;
-  Fmt.pr "  wrote BENCH_incremental.json@.";
-  match !failures with
-  | [] -> ()
-  | fs ->
-      List.iter (fun f -> Fmt.epr "  FAIL: %s@." f) fs;
-      failwith "incremental assertions failed"
-
-(* ------------------------------------------------------------------ *)
-(* Block crossover: path-based vs block-based wall clock.              *)
-
-(* Path-based cost is enumeration-dominated (O(paths * Q^3) after the
-   near-critical walk); the block engine visits every gate once.  This
-   harness measures both walls per benchmark at the paper's settings and
-   records where the one-pass engine wins, plus the statistical gap
-   between the two answers.  Written to BENCH_blockcross.json. *)
-let blockcross () =
-  section "Block crossover: path-based vs block-based engine (jobs=1)";
-  let module Block_engine = Ssta_block.Engine in
-  let max_paths = 2000 in
-  let specs =
-    match !hotpath_only with
-    | [] -> Iscas85.all
-    | names -> List.filter_map Iscas85.by_name names
-  in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  Fmt.pr "  %-7s %6s %9s %10s %8s %10s %10s %6s@." "name" "gates" "path(s)"
-    "block(s)" "speedup" "dmean" "dsigma" "wins";
-  let rows =
-    List.map
-      (fun (spec : Iscas85.spec) ->
-        let name = spec.Iscas85.name in
-        let circuit, placement = Iscas85.build_placed spec in
-        let config =
-          Config.with_confidence Config.default
-            spec.Iscas85.paper.Iscas85.confidence
-        in
-        let config = { config with Config.max_paths } in
-        let t0 = Unix.gettimeofday () in
-        let m = Methodology.run ~config ~placement circuit in
-        let path_wall = Unix.gettimeofday () -. t0 in
-        let t1 = Unix.gettimeofday () in
-        let r = Block_engine.analyze ~config ~placement circuit in
-        let block_wall = Unix.gettimeofday () -. t1 in
-        let pa = m.Methodology.prob_critical.Ranking.analysis in
-        let path_mean = pa.Path_analysis.mean in
-        let path_std = pa.Path_analysis.std in
-        let rel_mean =
-          Float.abs (r.Block_engine.mean -. path_mean) /. path_mean
-        in
-        let rel_std =
-          Float.abs (r.Block_engine.std -. path_std) /. path_std
-        in
-        let speedup =
-          if block_wall > 0.0 then path_wall /. block_wall else 1.0
-        in
-        let wins = block_wall < path_wall in
-        (* The block mean upper-bounds the most-critical path's mean
-           (the circuit max dominates every path), so the one-sided
-           check is a soundness gate, the relative ones a quality
-           gate. *)
-        if !hotpath_assert then begin
-          if r.Block_engine.mean < path_mean *. 0.98 then
-            fail "%s: block mean %.4g below path mean %.4g" name
-              r.Block_engine.mean path_mean;
-          if rel_mean > 0.10 then
-            fail "%s: block/path mean gap %.1f%% (tol 10%%)" name
-              (rel_mean *. 100.0);
-          if rel_std > 0.35 then
-            fail "%s: block/path sigma gap %.1f%% (tol 35%%)" name
-              (rel_std *. 100.0)
-        end;
-        Fmt.pr "  %-7s %6d %9.3f %10.4f %7.1fx %9.2f%% %9.2f%% %6s@." name
-          r.Block_engine.num_gates path_wall block_wall speedup
-          (rel_mean *. 100.0) (rel_std *. 100.0)
-          (if wins then "yes" else "no");
-        (name, r.Block_engine.num_gates, path_wall, block_wall, speedup,
-         path_mean, path_std, pa.Path_analysis.confidence_point,
-         r.Block_engine.mean, r.Block_engine.std,
-         r.Block_engine.confidence_point, wins))
-      specs
-  in
-  if !hotpath_assert
-     && not (List.exists (fun (_, _, _, _, _, _, _, _, _, _, _, w) -> w) rows)
-  then fail "no benchmark where the block engine beats the path engine";
-  let oc = open_out "BENCH_blockcross.json" in
-  let out fmt = Printf.ksprintf (output_string oc) fmt in
-  out "{\"max_paths\":%d,\"max_policy\":\"clark\",\"benchmarks\":[\n" max_paths;
-  List.iteri
-    (fun i
-         (name, gates, path_wall, block_wall, speedup, path_mean, path_std,
-          path_conf, block_mean, block_std, block_conf, wins) ->
-      out
-        "  {\"name\":\"%s\",\"gates\":%d,\"path_wall_s\":%.4f,\
-         \"block_wall_s\":%.4f,\"speedup\":%.3f,\
-         \"path\":{\"mean_s\":%.6e,\"std_s\":%.6e,\
-         \"confidence_point_s\":%.6e},\
-         \"block\":{\"mean_s\":%.6e,\"std_s\":%.6e,\
-         \"confidence_point_s\":%.6e},\"block_wins\":%b}%s\n"
-        name gates path_wall block_wall speedup path_mean path_std path_conf
-        block_mean block_std block_conf wins
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "]}\n";
-  close_out oc;
-  Fmt.pr "  wrote BENCH_blockcross.json@.";
-  match !failures with
-  | [] -> ()
-  | fs ->
-      List.iter (fun f -> Fmt.epr "  FAIL: %s@." f) fs;
-      failwith "blockcross assertions failed"
-
-(* ------------------------------------------------------------------ *)
-(* Dimensional bench: the cartesian scaling harness.                    *)
-
-(* One cell of the {benchmark x quality x jobs x inter-cache x engine}
-   grid.  Walls are the min of [dim_repeats] runs (suppressing GC and
-   scheduler noise — standard for wall-clock artifacts); minor words are
-   taken from the fastest run (allocation volume is deterministic, the
-   timing is not). *)
-type dim_cell = {
-  c_engine : string;  (* "path" | "block" *)
-  c_q : int;  (* quality_intra; quality_inter = q/2 *)
-  c_jobs : int;  (* 0 for the block engine (takes no pool) *)
-  c_cache : bool;
-  c_max_paths : int;
-  c_paths : int;  (* ranked path count (0 for block) *)
-  c_wall : float;
-  c_minor : float;  (* Gc.minor_words delta of the fastest run *)
-  c_counters : (string * int) list;  (* health counters ([] for block) *)
-  c_report : string;  (* deterministic JSON report ("" for block) *)
-}
-
-let dim_repeats = 2
-let dim_qs = [ 50; 100 ]
-let dim_jobs = [ 1; 2 ]
-let dim_q_sweep = 200  (* third point of the wall-vs-Q fit *)
-let dim_paths_sweep = [ 500; 1000 ]  (* 2000 is the grid's base cap *)
-
-let dim_counter_names =
-  [ "inter-cache-lookups"; "inter-cache-hits"; "inter-cache-distinct";
-    "arena-buffers-created"; "arena-bytes-reused"; "arena-peak-bytes" ]
-
-(* Cached jobs=1 walls recorded in BENCH_hotpath.json by the PR that
-   added the inter-kernel cache — the fixed baseline the strict floors
-   regress against.  SSTA_DIM_STRICT=1 turns the >= 1.5x floors into
-   hard failures; without it the speedups are recorded but not asserted
-   (CI walls are machine-dependent). *)
-let dim_seed_cached =
-  [ ("c499", 0.2740); ("c1355", 0.6022); ("c6288", 1.7363) ]
-
-let dim_strict_floor = 1.5
-
-let dim_strict () =
-  match Sys.getenv_opt "SSTA_DIM_STRICT" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
-(* Least-squares slope of ln(wall) against ln(x): the empirical scaling
-   exponent of one sweep axis. *)
-let dim_fit_exponent points =
-  let pts = List.filter (fun (x, w) -> x > 0 && w > 0.0) points in
-  match pts with
-  | [] | [ _ ] -> nan
-  | _ ->
-      let n = float_of_int (List.length pts) in
-      let sx = ref 0.0 and sy = ref 0.0 and sxx = ref 0.0 and sxy = ref 0.0 in
-      List.iter
-        (fun (x, w) ->
-          let lx = log (float_of_int x) and ly = log w in
-          sx := !sx +. lx;
-          sy := !sy +. ly;
-          sxx := !sxx +. (lx *. lx);
-          sxy := !sxy +. (lx *. ly))
-        pts;
-      let d = (n *. !sxx) -. (!sx *. !sx) in
-      if Float.abs d < 1e-12 then nan
-      else ((n *. !sxy) -. (!sx *. !sy)) /. d
-
-let dim_config ~confidence ~q ~cache ~max_paths =
-  let config = Config.with_confidence Config.default confidence in
-  let config = Config.with_quality config ~intra:q ~inter:(q / 2) in
-  { config with Config.max_paths; Config.inter_cache = cache }
-
-let dim_path_cell ~circuit ~placement ~confidence ~q ~jobs ~cache ~max_paths =
-  let config = dim_config ~confidence ~q ~cache ~max_paths in
-  let best_wall = ref infinity and best_minor = ref 0.0 in
-  let last = ref None in
-  for _ = 1 to dim_repeats do
-    (* Isolate cells from each other's garbage: without this the dead
-       major heap left by earlier (uncached, high-Q) cells slows later
-       ones by 20-40%, which poisons the exponent fits.  A full major
-       cycle (not a compaction) keeps the heap pages mapped, so the
-       timed region does not pay re-growth faults. *)
-    Gc.full_major ();
-    Pool.with_pool ~jobs (fun pool ->
-        let mw0 = Gc.minor_words () in
-        let t0 = Unix.gettimeofday () in
-        let m = Methodology.run ~config ~placement ~pool circuit in
-        let wall = Unix.gettimeofday () -. t0 in
-        let minor = Gc.minor_words () -. mw0 in
-        if wall < !best_wall then begin
-          best_wall := wall;
-          best_minor := minor
-        end;
-        last := Some m)
-  done;
-  let m = match !last with Some m -> m | None -> assert false in
-  let counters =
-    List.map
-      (fun n -> (n, Ssta_runtime.Health.counter m.Methodology.health n))
-      dim_counter_names
-  in
-  { c_engine = "path"; c_q = q; c_jobs = jobs; c_cache = cache;
-    c_max_paths = max_paths; c_paths = Methodology.num_critical_paths m;
-    c_wall = !best_wall; c_minor = !best_minor; c_counters = counters;
-    c_report = Report.json_report m }
-
-let dim_block_cell ~circuit ~placement ~confidence ~q ~cache ~max_paths =
-  let config = dim_config ~confidence ~q ~cache ~max_paths in
-  let best_wall = ref infinity and best_minor = ref 0.0 in
-  for _ = 1 to dim_repeats do
-    Gc.full_major ();
-    let mw0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let r = Ssta_block.Engine.analyze ~config ~placement circuit in
-    let wall = Unix.gettimeofday () -. t0 in
-    let minor = Gc.minor_words () -. mw0 in
-    ignore r;
-    if wall < !best_wall then begin
-      best_wall := wall;
-      best_minor := minor
-    end
-  done;
-  { c_engine = "block"; c_q = q; c_jobs = 0; c_cache = cache;
-    c_max_paths = max_paths; c_paths = 0; c_wall = !best_wall;
-    c_minor = !best_minor; c_counters = []; c_report = "" }
-
-(* The full cartesian sweep: {Q x jobs x cache} for the path engine and
-   {Q x cache} for the block engine (which takes no pool), plus the
-   extra Q and max-paths points that anchor the log-log exponent fits.
-   Emits BENCH_dim.json with a deterministic schema (fixed key set and
-   order; only the measured values vary) so CI can regress it. *)
-let dim () =
-  let strict = dim_strict () in
-  section
-    (Printf.sprintf
-       "Dimensional bench: {benchmark x Q x jobs x cache x engine} \
-        (host: %d core(s), repeats: %d, strict floors: %s)"
-       (Pool.default_jobs ()) dim_repeats (if strict then "on" else "off"));
-  let max_paths = 2000 in
-  let specs =
-    match !hotpath_only with
-    | [] -> Iscas85.all
-    | names -> List.filter_map Iscas85.by_name names
-  in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  Fmt.pr "  %-7s %-6s %4s %4s %6s %6s %6s %9s %12s@." "name" "engine" "Q"
-    "jobs" "cache" "paths" "cap" "wall(s)" "minor-words";
-  let rows =
-    List.map
-      (fun (spec : Iscas85.spec) ->
-        let name = spec.Iscas85.name in
-        let circuit, placement = Iscas85.build_placed spec in
-        let confidence = spec.Iscas85.paper.Iscas85.confidence in
-        let pr_cell c =
-          Fmt.pr "  %-7s %-6s %4d %4s %6s %6d %6d %9.4f %12.3e@." name
-            c.c_engine c.c_q
-            (if c.c_jobs = 0 then "-" else string_of_int c.c_jobs)
-            (if c.c_cache then "on" else "off")
-            c.c_paths c.c_max_paths c.c_wall c.c_minor;
-          c
-        in
-        (* base path grid *)
-        let base =
-          List.concat_map
-            (fun q ->
-              List.concat_map
-                (fun jobs ->
-                  List.map
-                    (fun cache ->
-                      pr_cell
-                        (dim_path_cell ~circuit ~placement ~confidence ~q
-                           ~jobs ~cache ~max_paths))
-                    [ false; true ])
-                dim_jobs)
-            dim_qs
-        in
-        (* exponent-fit anchors: one extra Q point, two path caps *)
-        let anchors =
-          let q_anchor =
-            pr_cell
-              (dim_path_cell ~circuit ~placement ~confidence ~q:dim_q_sweep
-                 ~jobs:1 ~cache:true ~max_paths)
-          in
-          let cap_anchors =
-            List.map
-              (fun cap ->
-                pr_cell
-                  (dim_path_cell ~circuit ~placement ~confidence ~q:100
-                     ~jobs:1 ~cache:true ~max_paths:cap))
-              dim_paths_sweep
-          in
-          q_anchor :: cap_anchors
-        in
-        (* block engine: no pool dimension *)
-        let block =
-          List.concat_map
-            (fun q ->
-              List.map
-                (fun cache ->
-                  pr_cell
-                    (dim_block_cell ~circuit ~placement ~confidence ~q ~cache
-                       ~max_paths))
-                [ false; true ])
-            dim_qs
-        in
-        let grid = base @ anchors @ block in
-        let find ~engine ~q ~jobs ~cache ~cap =
-          List.find_opt
-            (fun c ->
-              String.equal c.c_engine engine
-              && c.c_q = q && c.c_jobs = jobs && c.c_cache = cache
-              && c.c_max_paths = cap)
-            grid
-        in
-        (* --- log-log exponent fits ------------------------------- *)
-        let q_points =
-          List.filter_map
-            (fun q ->
-              Option.map
-                (fun c -> (q, c.c_wall))
-                (find ~engine:"path" ~q ~jobs:1 ~cache:true ~cap:max_paths))
-            (dim_qs @ [ dim_q_sweep ])
-        in
-        let paths_points =
-          List.filter_map
-            (fun cap ->
-              Option.map
-                (fun c -> (c.c_paths, c.c_wall))
-                (find ~engine:"path" ~q:100 ~jobs:1 ~cache:true ~cap))
-            (dim_paths_sweep @ [ max_paths ])
-        in
-        let paths_increasing =
-          let xs = List.map fst paths_points in
-          List.length xs >= 2
-          && List.for_all2 (fun a b -> a < b)
-               (List.filteri (fun i _ -> i < List.length xs - 1) xs)
-               (List.tl xs)
-        in
-        let q_exp = dim_fit_exponent q_points in
-        let paths_exp =
-          if paths_increasing then dim_fit_exponent paths_points else nan
-        in
-        Fmt.pr "  %-7s fits: wall ~ Q^%.2f%s@." name q_exp
-          (if Float.is_nan paths_exp then
-             " (path-count axis saturated; paths exponent skipped)"
-           else Printf.sprintf ", wall ~ paths^%.2f" paths_exp);
-        (* --- relative invariants (always checked with --assert) --- *)
-        if !hotpath_assert then begin
-          (* cache on must not lose to cache off at the same settings *)
-          List.iter
-            (fun q ->
-              List.iter
-                (fun jobs ->
-                  match
-                    ( find ~engine:"path" ~q ~jobs ~cache:false ~cap:max_paths,
-                      find ~engine:"path" ~q ~jobs ~cache:true ~cap:max_paths )
-                  with
-                  | Some off, Some on when off.c_wall >= 0.05 ->
-                      if on.c_wall > off.c_wall *. 1.10 then
-                        fail
-                          "%s: Q=%d jobs=%d cached wall %.4fs slower than \
-                           uncached %.4fs"
-                          name q jobs on.c_wall off.c_wall
-                  | _ -> ())
-                dim_jobs)
-            dim_qs;
-          (* the arena must actually be exercised *)
-          List.iter
-            (fun c ->
-              if
-                String.equal c.c_engine "path"
-                && List.assoc "arena-peak-bytes" c.c_counters = 0
-              then
-                fail "%s: Q=%d jobs=%d cache=%b reports no arena traffic"
-                  name c.c_q c.c_jobs c.c_cache)
-            grid;
-          (* the deterministic report must not depend on the jobs axis *)
-          List.iter
-            (fun q ->
-              List.iter
-                (fun cache ->
-                  match
-                    ( find ~engine:"path" ~q ~jobs:1 ~cache ~cap:max_paths,
-                      find ~engine:"path" ~q ~jobs:2 ~cache ~cap:max_paths )
-                  with
-                  | Some a, Some b when not (String.equal a.c_report b.c_report)
-                    ->
-                      fail "%s: Q=%d cache=%b report differs between jobs 1 \
-                            and 2"
-                        name q cache
-                  | _ -> ())
-                [ false; true ])
-            dim_qs;
-          (* exponents must stay in sane bands when the walls are large
-             enough to measure *)
-          if
-            List.for_all (fun (_, w) -> w >= 0.05) q_points
-            && not (Float.is_nan q_exp)
-            && (q_exp < -0.2 || q_exp > 4.5)
-          then
-            (* Lower bound near zero, not a positive power: circuits
-               whose per-path cost is coefficient-dominated (c6288's
-               long multiplier paths) legitimately scale almost flat in
-               Q once the inter cache is warm. *)
-            fail "%s: wall-vs-Q exponent %.2f outside [-0.2, 4.5]" name q_exp;
-          if
-            paths_increasing
-            && List.for_all (fun (_, w) -> w >= 0.05) paths_points
-            && not (Float.is_nan paths_exp)
-            && (paths_exp < 0.2 || paths_exp > 2.2)
-          then
-            fail "%s: wall-vs-paths exponent %.2f outside [0.2, 2.2]" name
-              paths_exp
-        end;
-        (* --- strict absolute floors (opt-in: host-dependent) ------ *)
-        let vs_seed =
-          match
-            ( List.assoc_opt name dim_seed_cached,
-              find ~engine:"path" ~q:100 ~jobs:1 ~cache:true ~cap:max_paths )
-          with
-          | Some seed, Some c when c.c_wall > 0.0 ->
-              let speedup = seed /. c.c_wall in
-              Fmt.pr "  %-7s vs seed cached wall %.4fs: %.2fx@." name seed
-                speedup;
-              if strict && !hotpath_assert && speedup < dim_strict_floor then
-                fail
-                  "%s: jobs=1 cached wall %.4fs only %.2fx over the seed \
-                   %.4fs (floor %.1fx)"
-                  name c.c_wall speedup seed dim_strict_floor;
-              Some (seed, c.c_wall, speedup)
-          | _ -> None
-        in
-        (name, grid, q_points, q_exp, paths_points, paths_exp, vs_seed))
-      specs
-  in
-  let oc = open_out "BENCH_dim.json" in
-  let out fmt = Printf.ksprintf (output_string oc) fmt in
-  out
-    "{\"schema\":\"bench-dim/1\",\"host_cores\":%d,\"repeats\":%d,\
-     \"strict\":%b,\"benchmarks\":[\n"
-    (Pool.default_jobs ()) dim_repeats strict;
-  List.iteri
-    (fun i (name, grid, q_points, q_exp, paths_points, paths_exp, vs_seed) ->
-      let cell c =
-        let counters =
-          if c.c_counters = [] then ""
-          else
-            Printf.sprintf ",\"counters\":{%s}"
-              (String.concat ","
-                 (List.map
-                    (fun (k, v) -> Printf.sprintf "\"%s\":%d" k v)
-                    c.c_counters))
-        in
-        Printf.sprintf
-          "{\"engine\":\"%s\",\"quality\":%d,\"jobs\":%d,\
-           \"inter_cache\":%b,\"max_paths\":%d,\"paths\":%d,\
-           \"wall_s\":%.4f,\"minor_words\":%.0f%s}"
-          c.c_engine c.c_q c.c_jobs c.c_cache c.c_max_paths c.c_paths c.c_wall
-          c.c_minor counters
-      in
-      let points ps =
-        String.concat ","
-          (List.map (fun (x, w) -> Printf.sprintf "[%d,%.4f]" x w) ps)
-      in
-      let json_exp e =
-        if Float.is_nan e then "null" else Printf.sprintf "%.3f" e
-      in
-      out "  {\"name\":\"%s\",\"grid\":[\n    %s\n  ],\n" name
-        (String.concat ",\n    " (List.map cell grid));
-      out
-        "   \"fits\":{\"q_exponent\":%s,\"q_points\":[%s],\
-         \"paths_exponent\":%s,\"paths_points\":[%s]}%s}%s\n"
-        (json_exp q_exp) (points q_points) (json_exp paths_exp)
-        (points paths_points)
-        (match vs_seed with
-        | Some (seed, wall, speedup) ->
-            Printf.sprintf
-              ",\n   \"vs_seed\":{\"seed_cached_wall_s\":%.4f,\
-               \"wall_s\":%.4f,\"speedup\":%.3f}"
-              seed wall speedup
-        | None -> "")
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "]}\n";
-  close_out oc;
-  Fmt.pr "  wrote BENCH_dim.json@.";
-  match !failures with
-  | [] -> ()
-  | fs ->
-      List.iter (fun f -> Fmt.epr "  FAIL: %s@." f) fs;
-      failwith "dim assertions failed"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one kernel per artifact.                 *)
-
-let bechamel_suite () =
-  section "Bechamel kernel timings (one representative kernel per artifact)";
-  let open Bechamel in
-  let open Toolkit in
-  (* Pre-built inputs shared by the kernels. *)
-  let c432, pl432 = Iscas85.build_placed (spec_exn "c432") in
-  let sta432 = Sta.analyze c432 in
-  let ctx432 = Path_analysis.context Config.default sta432.Sta.graph pl432 in
-  let tables = Inter.tables Config.default in
-  let coeffs =
-    Ssta_correlation.Path_coeffs.of_path sta432.Sta.graph pl432
-      (Config.layers_for Config.default pl432)
-      sta432.Sta.critical_path
-  in
-  let g1 = Dist.truncated_gaussian ~n:100 ~mu:0.0 ~sigma:1.0 () in
-  let c1355, _ = Iscas85.build_placed (spec_exn "c1355") in
-  let sta1355 = Sta.analyze c1355 in
-  let sampler = Monte_carlo.sampler Config.default sta432.Sta.graph pl432 in
-  let rng = Rng.create 7 in
-  let tests =
-    [ Test.make ~name:"table1-sensitivity"
-        (Staged.stage (fun () -> Sensitivity.table1 ()));
-      Test.make ~name:"table2-path-analysis-c432"
-        (Staged.stage (fun () ->
-             Path_analysis.analyze ctx432 sta432.Sta.critical_path));
-      Test.make ~name:"table3-intra-variance"
-        (Staged.stage (fun () -> Intra.variance Config.default coeffs));
-      Test.make ~name:"fig3-inter-pdf-q50"
-        (Staged.stage (fun () -> Inter.of_coeffs tables coeffs));
-      Test.make ~name:"fig4-convolution-q100"
-        (Staged.stage (fun () -> Combine.sum g1 g1));
-      Test.make ~name:"fig5-bellman-ford-c1355"
-        (Staged.stage (fun () ->
-             Ssta_timing.Longest_path.bellman_ford sta1355.Sta.graph));
-      Test.make ~name:"fig6-near-critical-enum-c1355"
-        (Staged.stage (fun () ->
-             Sta.near_critical ~max_paths:200 sta1355
-               ~slack:(0.001 *. sta1355.Sta.critical_delay)));
-      Test.make ~name:"quality-quantile"
-        (Staged.stage (fun () -> Pdf.quantile g1 0.999));
-      Test.make ~name:"mc-one-path-sample"
-        (Staged.stage (fun () ->
-             Monte_carlo.path_delay_samples sampler ~n:1 rng
-               sta432.Sta.critical_path));
-      Test.make ~name:"block-clark-c432"
-        (Staged.stage (fun () -> Block_based.analyze ~placement:pl432 c432))
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None () in
-  let instances = Instance.[ monotonic_clock ] in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| "run" |]
-  in
-  Fmt.pr "%-35s %15s@." "kernel" "time/run";
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg instances elt in
-          let est = Analyze.one ols Instance.monotonic_clock raw in
-          let pretty =
-            match Analyze.OLS.estimates est with
-            | Some [ ns ] ->
-                if ns > 1e9 then Printf.sprintf "%.3f s" (ns /. 1e9)
-                else if ns > 1e6 then Printf.sprintf "%.3f ms" (ns /. 1e6)
-                else if ns > 1e3 then Printf.sprintf "%.3f us" (ns /. 1e3)
-                else Printf.sprintf "%.1f ns" ns
-            | Some _ | None -> "n/a"
-          in
-          Fmt.pr "%-35s %15s@." (Test.Elt.name elt) pretty)
-        (Test.elements test))
-    tests
-
-(* ------------------------------------------------------------------ *)
 
 let artifacts =
   [ ("table1", table1); ("table2", table2); ("table3", table3);
@@ -1511,31 +425,21 @@ let artifacts =
     ("mc-validation", mc_validation); ("block-based", block_based);
     ("shapes", shapes); ("wires", wires);
     ("yield-criticality", yield_criticality); ("dual-vt", dual_vt);
-    ("pipeline", pipeline); ("parallel", parallel); ("hotpath", hotpath);
-    ("screening", screening); ("incremental", incremental);
-    ("blockcross", blockcross); ("dim", dim) ]
+    ("pipeline", pipeline) ]
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let no_bechamel = List.mem "--no-bechamel" args in
-  List.iter
-    (fun a ->
-      if String.length a > 7 && String.sub a 0 7 = "--only=" then
-        hotpath_only :=
-          String.split_on_char ','
-            (String.sub a 7 (String.length a - 7))
-      else if a = "--assert" then hotpath_assert := true)
-    args;
-  let wanted =
-    List.filter
-      (fun a -> String.length a < 2 || String.sub a 0 2 <> "--")
-      args
-  in
+  let wanted = Array.to_list Sys.argv |> List.tl in
+  (match List.filter (fun a -> not (List.mem_assoc a artifacts)) wanted with
+  | [] -> ()
+  | unknown ->
+      Fmt.epr "unknown artifact: %s@.valid artifacts: %s@."
+        (String.concat " " unknown)
+        (String.concat " " (List.map fst artifacts));
+      exit 2);
   let selected =
     if wanted = [] then artifacts
     else List.filter (fun (name, _) -> List.mem name wanted) artifacts
   in
   let started = Unix.gettimeofday () in
   List.iter (fun (_, f) -> f ()) selected;
-  if not no_bechamel then bechamel_suite ();
   Fmt.pr "@.total bench wall-clock: %.1f s@." (Unix.gettimeofday () -. started)

@@ -5,6 +5,7 @@ module Sta = Ssta_timing.Sta
 module Netlist = Ssta_circuit.Netlist
 module Placement = Ssta_circuit.Placement
 module Config = Ssta_core.Config
+module Report = Ssta_core.Report
 
 type endpoint = {
   node : int;
@@ -120,31 +121,12 @@ let analyze ?(config = Config.default) ?placement ?sta circuit =
    byte-identical — the block-mode [--jobs] determinism tests diff this
    artifact. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jfloat v = Printf.sprintf "%.17g" v
-
-let json_of_pdf (p : Pdf.t) =
-  Printf.sprintf "{\"lo\":%s,\"step\":%s,\"density\":[%s]}" (jfloat p.Pdf.lo)
-    (jfloat p.Pdf.step)
-    (String.concat "," (Array.to_list (Array.map jfloat p.Pdf.density)))
+let jfloat = Report.jfloat
 
 let json_of_endpoint ep =
   Printf.sprintf
     "{\"node\":%d,\"name\":\"%s\",\"mean_s\":%s,\"std_s\":%s,\"inter_sigma_s\":%s,\"intra_sigma_s\":%s,\"confidence_point_s\":%s,\"q001_s\":%s,\"median_s\":%s,\"q999_s\":%s}"
-    ep.node (json_escape ep.name) (jfloat ep.mean) (jfloat ep.std)
+    ep.node (Report.json_escape ep.name) (jfloat ep.mean) (jfloat ep.std)
     (jfloat ep.inter_sigma) (jfloat ep.intra_sigma)
     (jfloat ep.confidence_point)
     (jfloat (Pdf.quantile ep.pdf 0.001))
@@ -155,7 +137,7 @@ let json_report t =
   let buf = Buffer.create 8192 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let cfg = t.config in
-  add "{\"circuit\":\"%s\"," (json_escape t.circuit_name);
+  add "{\"circuit\":\"%s\"," (Report.json_escape t.circuit_name);
   add "\"engine\":\"block\",";
   add "\"gates\":%d," t.num_gates;
   add
@@ -176,7 +158,7 @@ let json_report t =
     (jfloat (Pdf.quantile t.pdf 0.999));
   add "\"endpoints\":[%s],"
     (String.concat "," (List.map json_of_endpoint t.endpoints));
-  add "\"circuit_pdf\":%s}" (json_of_pdf t.pdf);
+  add "\"circuit_pdf\":%s}" (Report.json_of_pdf t.pdf);
   Buffer.contents buf
 
 let pp_summary fmt t =

@@ -7,6 +7,7 @@ module Elmore = Ssta_tech.Elmore
 module Derivatives = Ssta_tech.Derivatives
 module Budget = Ssta_correlation.Budget
 module Config = Ssta_core.Config
+module Report = Ssta_core.Report
 module Erf = Ssta_prob.Erf
 
 type form = {
@@ -376,20 +377,6 @@ let pp_criticality ?(top = 20) (g : Graph.t) fmt crits =
           (Elmore.ps c.slack) (Elmore.ps c.sigma) c.z c.prob)
     crits
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let criticality_json (g : Graph.t) crits =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"criticality\": [";
@@ -402,7 +389,7 @@ let criticality_json (g : Graph.t) crits =
             \"slack_s\": %.17g, \"sigma_s\": %.17g, \"z\": %.17g, \
             \"prob_ub\": %.17g}"
            c.node
-           (json_escape (Netlist.node_name g.Graph.circuit c.node))
+           (Report.json_escape (Netlist.node_name g.Graph.circuit c.node))
            c.through_center c.slack c.sigma c.z c.prob))
     crits;
   Buffer.add_string buf "\n  ]\n}\n";

@@ -30,6 +30,14 @@ val std : Config.t -> canonical -> float
 val covariance : Config.t -> canonical -> canonical -> float
 (** Via shared terms only (residuals are independent). *)
 
+val merge_terms :
+  wa:float ->
+  wb:float ->
+  (Ssta_correlation.Path_coeffs.key, float) Hashtbl.t ->
+  (Ssta_correlation.Path_coeffs.key, float) Hashtbl.t ->
+  (Ssta_correlation.Path_coeffs.key, float) Hashtbl.t
+(** [wa * a + wb * b] over the union of the keys, in a fresh table. *)
+
 val add : canonical -> canonical -> canonical
 
 val clark_max : Config.t -> canonical -> canonical -> canonical

@@ -68,6 +68,16 @@ val pp_run_status : Format.formatter -> Methodology.t -> unit
     distinguishable (block runs print their own summary through
     [Ssta_block.Engine], which names the engine the same way). *)
 
+val json_escape : string -> string
+(** Escape a string for a JSON string literal: quote, backslash and
+    newline get their short escapes, other control characters [\u00XX]. *)
+
+val jfloat : float -> string
+(** Round-trip ([%.17g]) rendering of a float for the JSON reports. *)
+
+val json_of_pdf : Ssta_prob.Pdf.t -> string
+(** [{"lo":..,"step":..,"density":[..]}] with {!jfloat} numbers. *)
+
 val json_report : Methodology.t -> string
 (** Machine-readable report of a full run: config, critical delay,
     sigma_C, degradations, health counters, the analysis of every

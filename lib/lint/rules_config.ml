@@ -18,7 +18,7 @@ let quality_ceiling = 4000
 (* Conservative per-cell cost of the O(Q^3) inter-kernel cold build
    (dominant term: Q_inter^3 density evaluations when the scale-covariant
    cache is cold).  8 ns/cell is calibrated well above the measured
-   hotpath numbers, so the estimate errs toward warning early: the
+   cold-build times, so the estimate errs toward warning early: the
    paper's Q = 50 estimates at 1 ms, the 4000-cell sanity ceiling at
    ~8.5 min. *)
 let cold_build_cell_ns = 8.0

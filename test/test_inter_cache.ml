@@ -272,19 +272,25 @@ let test_cache_on_off_stats_within_tol () =
                f.Path_analysis.confidence_point) ])
     m_on.Methodology.ranked
 
+(* With the cache off too: the uncached kernels must be as deterministic
+   across workers as the cached ones. *)
 let test_cached_jobs_byte_identical () =
-  let config = { quick_config with Config.inter_cache = true } in
   let circuit = small_random () in
-  check_true "jobs 1 == jobs 4 with cache on"
-    (String.equal (report ~jobs:1 config circuit)
-       (report ~jobs:4 config circuit))
+  List.iter
+    (fun inter_cache ->
+      let config = { quick_config with Config.inter_cache } in
+      check_true
+        (Printf.sprintf "jobs 1 == jobs 4 with inter_cache=%b" inter_cache)
+        (String.equal (report ~jobs:1 config circuit)
+           (report ~jobs:4 config circuit)))
+    [ true; false ]
 
+(* On c432 with the affine screen the cache, the arena and the screen
+   all have work to do, so their counters must be positive there (at
+   Q 40/16: 5 hits, a 320 B arena peak, 177 of 196 nodes pruned). *)
 let test_run_surfaces_cache_counters () =
-  let m =
-    Methodology.run
-      ~config:{ quick_config with Config.inter_cache = true }
-      (small_adder ())
-  in
+  let config = { quick_config with Config.inter_cache = true } in
+  let m = Methodology.run ~config (small_adder ()) in
   let c n = Ssta_runtime.Health.counter m.Methodology.health n in
   let lookups = c "inter-cache-lookups" in
   let distinct = c "inter-cache-distinct" in
@@ -292,7 +298,21 @@ let test_run_surfaces_cache_counters () =
   check_true "one lookup per analyzed path"
     (lookups = Array.length m.Methodology.ranked);
   check_int "hits = lookups - distinct" (lookups - distinct) hits;
-  check_true "distinct positive" (distinct > 0)
+  check_true "distinct positive" (distinct > 0);
+  let circuit, placement =
+    Ssta_circuit.Iscas85.build_placed
+      (Option.get (Ssta_circuit.Iscas85.by_name "c432"))
+  in
+  let m =
+    Methodology.run ~config ~placement
+      ~screen:(Ssta_check.Affine.methodology_screen config)
+      circuit
+  in
+  List.iter
+    (fun n ->
+      check_true (n ^ " positive on c432")
+        (Ssta_runtime.Health.counter m.Methodology.health n > 0))
+    [ "inter-cache-hits"; "arena-peak-bytes"; "affine-screen-nodes-pruned" ]
 
 let test_disabled_cache_reports_no_counters () =
   let m =
