@@ -21,7 +21,6 @@ module Report = Ssta_core.Report
 module Ranking = Ssta_core.Ranking
 module Path_analysis = Ssta_core.Path_analysis
 module Monte_carlo = Ssta_core.Monte_carlo
-module Block_based = Ssta_core.Block_based
 module Block_engine = Ssta_block.Engine
 module Quality_sweep = Ssta_core.Quality_sweep
 module Yield = Ssta_core.Yield
@@ -1174,16 +1173,16 @@ let block_cmd =
   let action name samples seed =
     guarded @@ fun () ->
     let circuit, placement = load_circuit ~bench:None ~def:None name in
-    let bb = Block_based.analyze ~placement circuit in
+    let bb = Block_engine.analyze ~placement circuit in
     Fmt.pr "block-based (Clark) circuit arrival: mean %.3f ps, std %.3f ps, \
             3-sigma %.3f ps (%.3f s)@."
-      (Elmore.ps bb.Block_based.mean)
-      (Elmore.ps bb.Block_based.std)
-      (Elmore.ps bb.Block_based.confidence_point)
-      bb.Block_based.runtime_s;
-    let sta = Ssta_timing.Sta.analyze circuit in
+      (Elmore.ps bb.Block_engine.mean)
+      (Elmore.ps bb.Block_engine.std)
+      (Elmore.ps bb.Block_engine.confidence_point)
+      bb.Block_engine.runtime_s;
     let sampler =
-      Monte_carlo.sampler Config.default sta.Ssta_timing.Sta.graph placement
+      Monte_carlo.sampler Config.default
+        bb.Block_engine.sta.Ssta_timing.Sta.graph placement
     in
     let rng = Ssta_prob.Rng.create seed in
     let mc = Monte_carlo.circuit_delay_samples sampler ~n:samples rng in

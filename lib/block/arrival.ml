@@ -9,15 +9,18 @@ module Budget = Ssta_correlation.Budget
 module Path_coeffs = Ssta_correlation.Path_coeffs
 module Placement = Ssta_circuit.Placement
 module Config = Ssta_core.Config
-module Block_based = Ssta_core.Block_based
+module Canonical = Ssta_core.Canonical
 
 type t = {
-  canon : Block_based.canonical;
+  canon : Canonical.canonical;
   resid : Pdf.t option;
 }
 
 let zero () =
-  { canon = { Block_based.mean = 0.0; terms = Hashtbl.create 4; indep = 0.0 };
+  { canon =
+      { Canonical.mean = 0.0;
+        terms = Hashtbl.create ~random:false 4;
+        indep = 0.0 };
     resid = None }
 
 (* A residual is worth carrying on a grid only when its width is visible
@@ -36,18 +39,18 @@ let resid_gaussian (config : Config.t) ~scale var =
   else None
 
 (* Re-establish the invariant canon.indep = Var(resid grid) so that the
-   canonical-form covariance/Clark machinery (Block_based) sees exactly
+   canonical-form covariance/Clark machinery (Canonical) sees exactly
    the variance the grid carries. *)
 let with_resid canon resid =
   let indep = match resid with None -> 0.0 | Some p -> Pdf.variance p in
-  ({ canon with Block_based.indep }, resid)
+  ({ canon with Canonical.indep }, resid)
 
-let mean t = t.canon.Block_based.mean
-let variance config t = Block_based.variance config t.canon
-let std config t = Block_based.std config t.canon
+let mean t = t.canon.Canonical.mean
+let variance config t = Canonical.variance config t.canon
+let std config t = Canonical.std config t.canon
 
 let shared_variance config t =
-  Block_based.variance config { t.canon with Block_based.indep = 0.0 }
+  Canonical.variance config { t.canon with Canonical.indep = 0.0 }
 
 let inter_variance (config : Config.t) t =
   Hashtbl.fold
@@ -61,7 +64,7 @@ let inter_variance (config : Config.t) t =
         acc +. (a *. a *. s *. s)
       end
       else acc)
-    t.canon.Block_based.terms 0.0
+    t.canon.Canonical.terms 0.0
 
 let inter_sigma config t = sqrt (Float.max 0.0 (inter_variance config t))
 
@@ -98,7 +101,7 @@ let of_gate (config : Config.t) layers placement graph id =
   let shared_layers =
     if config.Config.random_layer then num_layers - 1 else num_layers
   in
-  let terms = Hashtbl.create 16 in
+  let terms = Hashtbl.create ~random:false 16 in
   let random_var = ref 0.0 in
   List.iter
     (fun rv ->
@@ -120,7 +123,7 @@ let of_gate (config : Config.t) layers placement graph id =
   let gate_mean = graph.Graph.delay.(id) in
   let resid = resid_gaussian config ~scale:gate_mean !random_var in
   let canon, resid =
-    with_resid { Block_based.mean = gate_mean; terms; indep = 0.0 } resid
+    with_resid { Canonical.mean = gate_mean; terms; indep = 0.0 } resid
   in
   { canon; resid }
 
@@ -131,19 +134,19 @@ let sum (config : Config.t) a b =
     | None, r | r, None -> r
     | Some ra, Some rb -> Some (Combine.sum ~n ra rb)
   in
-  let canon, resid = with_resid (Block_based.add a.canon b.canon) resid in
+  let canon, resid = with_resid (Canonical.add a.canon b.canon) resid in
   { canon; resid }
 
 let clark_max config a b =
-  let canon = Block_based.clark_max config a.canon b.canon in
+  let canon = Canonical.clark_max config a.canon b.canon in
   (* The far-apart short circuit returns an operand's canonical form
      unchanged; keep its grid residual (shape included) too. *)
   if canon == a.canon then a
   else if canon == b.canon then b
   else begin
     let resid =
-      resid_gaussian config ~scale:canon.Block_based.mean
-        canon.Block_based.indep
+      resid_gaussian config ~scale:canon.Canonical.mean
+        canon.Canonical.indep
     in
     let canon, resid = with_resid canon resid in
     { canon; resid }
@@ -165,11 +168,11 @@ let grid_max (config : Config.t) a b =
   let max_mean = mx.Pdf.m_mean and max_var = mx.Pdf.m_var in
   let phi = tightness ta tb in
   let terms =
-    Block_based.merge_terms ~wa:phi ~wb:(1.0 -. phi) a.canon.Block_based.terms
-      b.canon.Block_based.terms
+    Canonical.merge_terms ~wa:phi ~wb:(1.0 -. phi) a.canon.Canonical.terms
+      b.canon.Canonical.terms
   in
-  let blended = { Block_based.mean = max_mean; terms; indep = 0.0 } in
-  let blended_shared = Block_based.variance config blended in
+  let blended = { Canonical.mean = max_mean; terms; indep = 0.0 } in
+  let blended_shared = Canonical.variance config blended in
   let resid_var = Float.max 0.0 (max_var -. blended_shared) in
   let resid =
     (* Keep the exact max's shape: recenter the grid and deflate it so

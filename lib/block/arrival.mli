@@ -9,7 +9,7 @@
     {v A  =  mean  +  sum_k a_k * xi_k  +  R v}
 
     - the [sum_k a_k xi_k] part is the canonical first-order form over
-      the shared correlation-layer RVs ({!Ssta_core.Block_based}, with
+      the shared correlation-layer RVs ({!Ssta_core.Canonical}, with
       layer 0 the inter-die layer), which preserves inter/intra
       correlation (Eq. 14's variance split) through merges: two arrivals
       that share upstream gates share terms, and their covariance is
@@ -23,7 +23,7 @@
     covariance machinery and the grid in agreement. *)
 
 type t = {
-  canon : Ssta_core.Block_based.canonical;
+  canon : Ssta_core.Canonical.canonical;
       (** mean + shared-layer sensitivities + residual variance *)
   resid : Ssta_prob.Pdf.t option;
       (** zero-mean grid residual ([None] when its width is negligible

@@ -11,7 +11,7 @@ type result = {
 
 let canonical_of_analysis (config : Config.t) (a : Path_analysis.t) =
   let coeffs = a.Path_analysis.coeffs in
-  let terms = Hashtbl.create 64 in
+  let terms = Hashtbl.create ~random:false 64 in
   (* Intra layer RVs carry the Eq. (13) coefficients verbatim. *)
   Path_coeffs.iter (fun key c -> Hashtbl.replace terms key c) coeffs;
   (* The inter part is shared by every path: key it on layer 0. *)
@@ -21,13 +21,13 @@ let canonical_of_analysis (config : Config.t) (a : Path_analysis.t) =
         { Path_coeffs.rv; layer = 0; partition = 0 }
         (Params.get coeffs.Path_coeffs.grad_sum rv))
     Params.all_rvs;
-  let linear = { Block_based.mean = a.Path_analysis.mean; terms; indep = 0.0 } in
+  let linear = { Canonical.mean = a.Path_analysis.mean; terms; indep = 0.0 } in
   (* Keep the numeric PDF's variance: whatever the linearization misses
      goes into the independent residual. *)
-  let linear_var = Block_based.variance config linear in
+  let linear_var = Canonical.variance config linear in
   let numeric_var = a.Path_analysis.std *. a.Path_analysis.std in
   { linear with
-    Block_based.indep = Float.max 0.0 (numeric_var -. linear_var) }
+    Canonical.indep = Float.max 0.0 (numeric_var -. linear_var) }
 
 let statistical_max ?config ?(max_paths = 200) (m : Methodology.t) =
   let config =
@@ -44,16 +44,16 @@ let statistical_max ?config ?(max_paths = 200) (m : Methodology.t) =
     folded :=
       (match !folded with
       | None -> Some canon
-      | Some acc -> Some (Block_based.clark_max config acc canon))
+      | Some acc -> Some (Canonical.clark_max config acc canon))
   done;
   match !folded with
   | None -> assert false
   | Some acc ->
-      let std = Block_based.std config acc in
-      { mean = acc.Block_based.mean;
+      let std = Canonical.std config acc in
+      { mean = acc.Canonical.mean;
         std;
         confidence_point =
-          acc.Block_based.mean +. (config.Config.confidence_sigma *. std);
+          acc.Canonical.mean +. (config.Config.confidence_sigma *. std);
         paths_used = used }
 
 let yield_at ?config m ~clock =

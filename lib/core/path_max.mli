@@ -4,10 +4,11 @@
     circuit's delay, however, is the {e max} of all the path delays,
     which are strongly and heterogeneously correlated (shared inter-die
     RVs, shared gates, shared partitions).  This module folds Clark's
-    max over path-level canonical forms whose sensitivities come from
-    the Eq. (13) coefficients — so the pairwise correlations are exactly
-    the analytic ones of {!Ssta_correlation.Path_correlation} — and
-    returns the circuit-delay statistics.
+    max ({!Canonical.clark_max}) over path-level canonical forms whose
+    sensitivities come from the Eq. (13) coefficients — so the pairwise
+    correlations are exactly the analytic ones of
+    {!Ssta_correlation.Path_correlation} — and returns the circuit-delay
+    statistics.
 
     Compared against the two simple proxies, it closes the gap to
     Monte-Carlo from both sides: the probabilistic-critical-path proxy
@@ -22,7 +23,7 @@ type result = {
 }
 
 val canonical_of_analysis :
-  Config.t -> Path_analysis.t -> Block_based.canonical
+  Config.t -> Path_analysis.t -> Canonical.canonical
 (** Path-level canonical form: mean from the path's numeric total PDF,
     linear terms from its Eq. (13) coefficients (inter RVs keyed on
     layer 0), and the residual numeric-vs-linearized variance as an

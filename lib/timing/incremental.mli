@@ -1,11 +1,12 @@
 (** Incremental timing: keep arrival labels valid across gate resizes.
 
-    The sizing optimizer re-times the circuit after every round; a
-    from-scratch Bellman-Ford is O(N+E) per edit.  This engine maintains
-    the arrival labels under drive-strength edits with a worklist that
-    only touches the affected fan-out cone (plus the edited gate's
-    fan-ins, whose loads change), which is how production timers make
-    optimization loops tractable.
+    A from-scratch Bellman-Ford is O(N+E) per edit; the statistical
+    sizing optimizer ([Ssta_core.Sizing]) still pays it, re-timing each
+    round with {!Graph.with_drives} and {!Sta.of_graph}.  This engine
+    maintains the arrival labels under drive-strength edits with a
+    worklist that only touches the affected fan-out cone (plus the
+    edited gate's fan-ins, whose loads change), which is how production
+    timers make optimization loops tractable.
 
     Equivalence with the from-scratch computation is enforced by
     property tests over random edit sequences. *)

@@ -1,55 +1,94 @@
-(* Advanced analysis engines: independence-assuming full-chip
-   propagation, the correlated statistical path-max, second-order intra
-   corrections, the incremental timer, and parser robustness (fuzz). *)
+(* Advanced analysis engines: the independence-assuming full-chip
+   baseline (a block-engine run), the correlated statistical path-max,
+   second-order intra corrections, the incremental timer, and parser
+   robustness (fuzz). *)
 
 open Ssta_circuit
 open Ssta_timing
 open Ssta_prob
 open Ssta_core
 open Helpers
+module Budget = Ssta_correlation.Budget
+module Arrival = Ssta_block.Arrival
+module Engine = Ssta_block.Engine
 
 (* ---------------- Full-chip (independence) ---------------- *)
 
+(* The independence baseline is a block-engine run: the whole variance
+   budget on the per-gate random layer (no shared RVs), and the grid
+   max, exact for independent operands. *)
+let independence =
+  let layers = Budget.layers Config.default.Config.budget in
+  { Config.default with
+    Config.block_max = Config.Grid_max;
+    quality_intra = 50;
+    budget =
+      Budget.of_weights
+        (Array.init layers (fun u -> if u = layers - 1 then 1.0 else 0.0)) }
+
 let test_full_chip_gate_pdf () =
-  let e = Ssta_tech.Gate.electrical (Ssta_tech.Gate.Nand 2) in
-  let p = Full_chip.gate_delay_pdf Config.default e in
-  check_close ~tol:1e-6 "centered on the nominal delay"
-    (Ssta_tech.Elmore.nominal_delay e)
-    (Pdf.mean p);
-  check_true "positive spread" (Pdf.std p > 0.0)
+  (* One gate's delay under the independence model: linearized around
+     nominal, each RV carrying its total sigma, all of it residual. *)
+  let c = tiny_chain () in
+  let pl = Placement.place c in
+  let g = Graph.of_netlist c in
+  let layers = Config.layers_for independence pl in
+  let id = c.Netlist.num_inputs in
+  let e = Graph.electrical_exn g id in
+  let a = Arrival.of_gate independence layers pl g id in
+  let nominal = Ssta_tech.Elmore.nominal_delay e in
+  check_close_abs ~tol:(1e-6 *. nominal) "centered on the nominal delay"
+    nominal (Arrival.mean a);
+  (match a.Arrival.resid with
+  | Some p -> check_true "positive residual spread" (Pdf.std p > 0.0)
+  | None -> Alcotest.fail "no residual grid");
+  let grad = Ssta_tech.Derivatives.gradient e Ssta_tech.Params.nominal in
+  let full_var =
+    List.fold_left
+      (fun acc rv ->
+        let d = Ssta_tech.Params.get grad rv
+        and s = Ssta_tech.Params.sigma rv in
+        acc +. (d *. d *. s *. s))
+      0.0 Ssta_tech.Params.all_rvs
+  in
+  check_close_abs ~tol:(0.01 *. sqrt full_var)
+    "every RV at its total sigma" (sqrt full_var)
+    (Arrival.std independence a);
+  check_close_abs ~tol:0.0 "no inter-die share" 0.0
+    (Arrival.inter_sigma independence a)
 
 let test_full_chip_chain_equals_convolution () =
   (* On a chain there is no max: the arrival is the plain convolution of
      the gate PDFs, so mean = sum of means. *)
   let c = tiny_chain () in
-  let r = Full_chip.analyze c in
+  let r = Engine.analyze ~config:independence c in
   let g = Graph.of_netlist c in
-  check_close ~tol:1e-3 "chain mean = nominal critical delay"
-    (Longest_path.critical_delay g (Longest_path.bellman_ford g))
-    r.Full_chip.mean
+  let crit = Longest_path.critical_delay g (Longest_path.bellman_ford g) in
+  check_close_abs ~tol:(1e-3 *. crit) "chain mean = nominal critical delay"
+    crit r.Engine.mean
 
 let test_full_chip_mean_at_least_critical () =
   (* E[max] >= max of means. *)
   let c = small_random () in
   let sta = Sta.analyze c in
-  let r = Full_chip.analyze c in
+  let r = Engine.analyze ~config:independence ~sta c in
   check_true "mean(max) >= nominal critical"
-    (r.Full_chip.mean >= sta.Sta.critical_delay -. 1e-13)
+    (r.Engine.mean >= sta.Sta.critical_delay -. 1e-13)
 
 let test_full_chip_underestimates_spread () =
   (* The paper's critique quantified: ignoring the shared RVs makes the
      circuit-delay spread collapse relative to the correlated truth. *)
   let c = small_random () in
-  let r = Full_chip.analyze c in
   let sta = Sta.analyze c in
   let pl = Placement.place c in
+  let r = Engine.analyze ~config:independence ~placement:pl ~sta c in
   let sampler = Monte_carlo.sampler Config.default sta.Sta.graph pl in
   let mc =
     Monte_carlo.circuit_delay_samples sampler ~n:800 (Rng.create 4)
   in
   let true_std = Stats.std mc in
   check_true "independent sigma well below the correlated sigma"
-    (r.Full_chip.std < 0.7 *. true_std)
+    (r.Engine.std < 0.7 *. true_std)
 
 (* ---------------- Path max ---------------- *)
 

@@ -1,10 +1,13 @@
-(* Monte-Carlo golden baseline and block-based (Clark) SSTA tests. *)
+(* Monte-Carlo golden baseline and block-based (Clark) SSTA tests: the
+   block engine at its default config and the canonical-form algebra. *)
 
 open Ssta_circuit
 open Ssta_timing
 open Ssta_prob
 open Ssta_core
 open Helpers
+module Arrival = Ssta_block.Arrival
+module Engine = Ssta_block.Engine
 
 let setup ?(config = fast_config) circuit =
   let sta = Sta.analyze circuit in
@@ -108,62 +111,60 @@ let test_mc_input_validation () =
 
 (* ---------------- Block-based ---------------- *)
 
+(* The block engine's circuit arrival, as a canonical form. *)
+let block_canonical circuit =
+  (Engine.analyze circuit).Engine.arrival.Arrival.canon
+
 let test_block_based_matches_mc () =
   let circuit = small_random () in
   let _, pl, sampler = setup ~config:Config.default circuit in
-  let bb = Block_based.analyze ~placement:pl circuit in
+  let bb = Engine.analyze ~placement:pl circuit in
   let rng = Rng.create 8 in
   let mc = Monte_carlo.circuit_delay_samples sampler ~n:1500 rng in
   let s = Stats.summarize mc in
   check_true "mean within 2%"
-    (Float.abs (bb.Block_based.mean -. s.Stats.mean) < 0.02 *. s.Stats.mean);
+    (Float.abs (bb.Engine.mean -. s.Stats.mean) < 0.02 *. s.Stats.mean);
   check_true "std within 25%"
-    (Float.abs (bb.Block_based.std -. s.Stats.std) < 0.25 *. s.Stats.std)
+    (Float.abs (bb.Engine.std -. s.Stats.std) < 0.25 *. s.Stats.std)
 
 let test_block_based_vs_sta_mean () =
   (* With max-of-Gaussians, the statistical arrival mean must be at least
      the deterministic critical delay. *)
   let circuit = small_random () in
   let sta = Sta.analyze circuit in
-  let bb = Block_based.analyze circuit in
+  let bb = Engine.analyze circuit in
   check_true "mean >= deterministic critical"
-    (bb.Block_based.mean >= sta.Sta.critical_delay -. 1e-15);
+    (bb.Engine.mean >= sta.Sta.critical_delay -. 1e-15);
   check_true "3-sigma above mean"
-    (bb.Block_based.confidence_point > bb.Block_based.mean)
+    (bb.Engine.confidence_point > bb.Engine.mean)
 
 let test_canonical_algebra () =
-  let circuit = tiny_chain () in
-  let bb = Block_based.analyze circuit in
-  let a = bb.Block_based.arrival in
-  let doubled = Block_based.add a a in
-  check_close ~tol:1e-12 "add means" (2.0 *. a.Block_based.mean)
-    doubled.Block_based.mean;
+  let a = block_canonical (tiny_chain ()) in
+  let doubled = Canonical.add a a in
+  check_close ~tol:1e-12 "add means" (2.0 *. a.Canonical.mean)
+    doubled.Canonical.mean;
   check_close ~tol:1e-9 "fully correlated sum doubles the std"
-    (2.0 *. Block_based.std Config.default a)
-    (Block_based.std Config.default doubled);
+    (2.0 *. Canonical.std Config.default a)
+    (Canonical.std Config.default doubled);
   (* covariance with itself = variance *)
   check_close ~tol:1e-9 "cov(X,X) = var(X) (shared terms)"
-    (Block_based.variance Config.default a -. a.Block_based.indep)
-    (Block_based.covariance Config.default a a)
+    (Canonical.variance Config.default a -. a.Canonical.indep)
+    (Canonical.covariance Config.default a a)
 
 let test_clark_max_dominates () =
-  let circuit = small_adder () in
-  let bb = Block_based.analyze circuit in
-  let a = bb.Block_based.arrival in
-  let shifted = { a with Block_based.mean = a.Block_based.mean *. 0.5 } in
-  let m = Block_based.clark_max Config.default a shifted in
+  let a = block_canonical (small_adder ()) in
+  let shifted = { a with Canonical.mean = a.Canonical.mean *. 0.5 } in
+  let m = Canonical.clark_max Config.default a shifted in
   check_true "max mean >= both inputs"
-    (m.Block_based.mean >= a.Block_based.mean -. 1e-15
-    && m.Block_based.mean >= shifted.Block_based.mean -. 1e-15)
+    (m.Canonical.mean >= a.Canonical.mean -. 1e-15
+    && m.Canonical.mean >= shifted.Canonical.mean -. 1e-15)
 
 let test_clark_max_far_apart_picks_larger () =
-  let circuit = tiny_chain () in
-  let bb = Block_based.analyze circuit in
-  let a = bb.Block_based.arrival in
-  let tiny = { a with Block_based.mean = a.Block_based.mean /. 100.0 } in
-  let m = Block_based.clark_max Config.default a tiny in
-  check_close ~tol:1e-12 "distant max = larger operand" a.Block_based.mean
-    m.Block_based.mean
+  let a = block_canonical (tiny_chain ()) in
+  let tiny = { a with Canonical.mean = a.Canonical.mean /. 100.0 } in
+  let m = Canonical.clark_max Config.default a tiny in
+  check_close ~tol:1e-12 "distant max = larger operand" a.Canonical.mean
+    m.Canonical.mean
 
 (* ---------------- Quality sweep ---------------- *)
 

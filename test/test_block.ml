@@ -15,7 +15,7 @@ module Generators = Ssta_circuit.Generators
 module Placement = Ssta_circuit.Placement
 module Sta = Ssta_timing.Sta
 module Config = Ssta_core.Config
-module Block_based = Ssta_core.Block_based
+module Canonical = Ssta_core.Canonical
 module Monte_carlo = Ssta_core.Monte_carlo
 module Path_coeffs = Ssta_correlation.Path_coeffs
 module Interval = Ssta_check.Interval
@@ -32,7 +32,7 @@ let arrival ?(mean = 0.0) ?(terms = []) resid =
   let tbl = Hashtbl.create 4 in
   List.iter (fun (k, v) -> Hashtbl.replace tbl k v) terms;
   let indep = match resid with None -> 0.0 | Some p -> Pdf.variance p in
-  { Arrival.canon = { Block_based.mean; terms = tbl; indep }; resid }
+  { Arrival.canon = { Canonical.mean; terms = tbl; indep }; resid }
 
 let std_normal_resid () =
   Some (Dist.truncated_gaussian ~n:400 ~bound:6.0 ~mu:0.0 ~sigma:1.0 ())
@@ -46,8 +46,8 @@ let unit_coeff =
   let tbl = Hashtbl.create 1 in
   Hashtbl.replace tbl key 1.0;
   let v =
-    Block_based.variance Config.default
-      { Block_based.mean = 0.0; terms = tbl; indep = 0.0 }
+    Canonical.variance Config.default
+      { Canonical.mean = 0.0; terms = tbl; indep = 0.0 }
   in
   1.0 /. sqrt v
 
@@ -167,7 +167,7 @@ let test_correlation_preserved_at_merge () =
      arrival still carries the full unit coefficient on the shared key. *)
   List.iter
     (fun (name, m) ->
-      match Hashtbl.find_opt m.Arrival.canon.Block_based.terms key with
+      match Hashtbl.find_opt m.Arrival.canon.Canonical.terms key with
       | None -> Alcotest.failf "%s max dropped the shared term" name
       | Some c ->
           check_close ~tol:1e-9
