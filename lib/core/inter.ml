@@ -143,7 +143,12 @@ let compute ?arena t ~acol ~bcol ~alpha_low ~alpha_high ~beta_low ~beta_high =
             if m > 0.0 then begin
               let x = base +. Array.unsafe_get bcol k in
               let u = ((x -. lo) /. step) -. 0.5 in
-              let iu = int_of_float (Float.floor u) in
+              (* [int_of_float (Float.floor u)] without the C call, as in
+                 [Combine.sum]. *)
+              let tu = int_of_float u in
+              let iu =
+                if u > -0x1p52 && float_of_int tu > u then tu - 1 else tu
+              in
               let frac = u -. float_of_int iu in
               let m0 = m *. (1.0 -. frac) in
               if m0 > 0.0 then begin

@@ -69,6 +69,8 @@ type context = {
   cache_shared : bool;  (* caches owned by a longer-lived warm state *)
   grads : Ssta_tech.Params.t array;
       (* per-node nominal delay gradients, evaluated once per graph *)
+  worst : float array;
+      (* per-node worst-corner gate delays (0.0 for inputs), once per graph *)
   domains : domain_states;  (* per-domain arena / workspace shards *)
 }
 
@@ -137,6 +139,13 @@ let context ?health ?warm config graph placement =
             Ssta_tech.Derivatives.gradient e Ssta_tech.Params.nominal
         | None -> Ssta_tech.Params.zero)
   in
+  let worst =
+    Array.init (Graph.num_nodes graph) (fun id ->
+        match graph.Graph.electrical.(id) with
+        | Some e when not (Graph.is_input graph id) ->
+            Corner.gate_delay ~k:config.Config.corner_k Corner.Worst e
+        | _ -> 0.0)
+  in
   { config;
     graph;
     placement;
@@ -146,6 +155,7 @@ let context ?health ?warm config graph placement =
     caches;
     cache_shared;
     grads;
+    worst;
     domains = domain_states_create () }
 
 let health ctx = ctx.health
@@ -178,9 +188,10 @@ let analyze ?health ctx path =
   in
   let m = Pdf.moments total_pdf in
   let mean = m.Pdf.m_mean and std = sqrt m.Pdf.m_var in
+  (* Input nodes hold 0.0, which leaves the left-to-right sum over the
+     gates bit-identical to [Corner.path_delay] of the path's gates. *)
   let worst_case =
-    Corner.path_delay ~k:ctx.config.Config.corner_k Corner.Worst
-      (Paths.path_gates ctx.graph path)
+    Array.fold_left (fun acc id -> acc +. ctx.worst.(id)) 0.0 path.Paths.nodes
   in
   { path;
     gate_count = Paths.path_gate_count ctx.graph path;

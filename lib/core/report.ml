@@ -178,23 +178,50 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let jfloat v = Printf.sprintf "%.17g" v
+(* [Printf.sprintf "%.17g"] hands a [%g] conversion to this primitive;
+   calling it directly gives the same bytes without interpreting the
+   format on every number. *)
+external format_float : string -> float -> string = "caml_format_float"
 
-let json_of_path_analysis (a : Path_analysis.t) =
-  let nodes =
-    a.Path_analysis.path.Ssta_timing.Paths.nodes
-    |> Array.to_list |> List.map string_of_int |> String.concat ","
+let jfloat v = format_float "%.17g" v
+
+(* Decimal digits of [n], the bytes [string_of_int] gives, written
+   straight into [buf]. *)
+let rec add_int buf n =
+  if n < 0 then begin
+    if n = min_int then Buffer.add_string buf (string_of_int n)
+    else begin
+      Buffer.add_char buf '-';
+      add_int buf (-n)
+    end
+  end
+  else begin
+    if n >= 10 then add_int buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+let add_path_analysis buf (a : Path_analysis.t) =
+  let add = Buffer.add_string buf in
+  let num k v =
+    add k;
+    add (jfloat v)
   in
-  Printf.sprintf
-    "{\"nodes\":[%s],\"gate_count\":%d,\"det_delay_s\":%s,\"mean_s\":%s,\"std_s\":%s,\"intra_sigma_s\":%s,\"inter_sigma_s\":%s,\"confidence_point_s\":%s,\"worst_case_s\":%s}"
-    nodes a.Path_analysis.gate_count
-    (jfloat a.Path_analysis.det_delay)
-    (jfloat a.Path_analysis.mean)
-    (jfloat a.Path_analysis.std)
-    (jfloat a.Path_analysis.intra_sigma)
-    (jfloat a.Path_analysis.inter_sigma)
-    (jfloat a.Path_analysis.confidence_point)
-    (jfloat a.Path_analysis.worst_case)
+  add "{\"nodes\":[";
+  Array.iteri
+    (fun i id ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_int buf id)
+    a.Path_analysis.path.Ssta_timing.Paths.nodes;
+  add "],\"gate_count\":";
+  add_int buf a.Path_analysis.gate_count;
+  num ",\"det_delay_s\":" a.Path_analysis.det_delay;
+  num ",\"mean_s\":" a.Path_analysis.mean;
+  num ",\"std_s\":" a.Path_analysis.std;
+  num ",\"intra_sigma_s\":" a.Path_analysis.intra_sigma;
+  num ",\"inter_sigma_s\":" a.Path_analysis.inter_sigma;
+  num ",\"confidence_point_s\":" a.Path_analysis.confidence_point;
+  num ",\"worst_case_s\":" a.Path_analysis.worst_case;
+  Buffer.add_char buf '}'
 
 let json_of_pdf (p : Pdf.t) =
   Printf.sprintf "{\"lo\":%s,\"step\":%s,\"density\":[%s]}" (jfloat p.Pdf.lo)
@@ -242,21 +269,25 @@ let json_report (m : Methodology.t) =
        (List.map
           (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v)
           (Ssta_runtime.Health.counters h)));
-  add "\"det_critical\":%s,"
-    (json_of_path_analysis m.Methodology.det_critical);
+  add "\"det_critical\":";
+  add_path_analysis buf m.Methodology.det_critical;
+  add ",";
   add "\"prob_critical_pdf\":%s,"
     (json_of_pdf
        m.Methodology.prob_critical.Ranking.analysis.Path_analysis.total_pdf);
-  add "\"paths\":[%s]}"
-    (String.concat ","
-       (Array.to_list
-          (Array.map
-             (fun (r : Ranking.ranked) ->
-               Printf.sprintf
-                 "{\"prob_rank\":%d,\"det_rank\":%d,\"analysis\":%s}"
-                 r.Ranking.prob_rank r.Ranking.det_rank
-                 (json_of_path_analysis r.Ranking.analysis))
-             m.Methodology.ranked)));
+  add "\"paths\":[";
+  Array.iteri
+    (fun i (r : Ranking.ranked) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf "{\"prob_rank\":";
+      add_int buf r.Ranking.prob_rank;
+      Buffer.add_string buf ",\"det_rank\":";
+      add_int buf r.Ranking.det_rank;
+      Buffer.add_string buf ",\"analysis\":";
+      add_path_analysis buf r.Ranking.analysis;
+      Buffer.add_char buf '}')
+    m.Methodology.ranked;
+  add "]}";
   Buffer.contents buf
 
 let pp_run_status fmt (t : Methodology.t) =

@@ -199,7 +199,12 @@ let binop_core ~op ?expected ?n ?arena f px py =
                if v < lo || v > grid_hi then
                  Array.unsafe_set acc 1 (Array.unsafe_get acc 1 +. mass);
                let u = ((v -. lo) /. step) -. 0.5 in
-               let iu = int_of_float (Float.floor u) in
+               (* [int_of_float (Float.floor u)] without the C call, as in
+                  [sum] below. *)
+               let tu = int_of_float u in
+               let iu =
+                 if u > -0x1p52 && float_of_int tu > u then tu - 1 else tu
+               in
                let frac = u -. float_of_int iu in
                let m0 = mass *. (1.0 -. frac) in
                if m0 > 0.0 then begin
@@ -258,6 +263,14 @@ let sum ?n ?arena px py =
   if not (hi > lo) then invalid_arg "Combine.accumulator: hi must exceed lo";
   let step = (hi -. lo) /. float_of_int n in
   let grid_hi = lo +. (step *. float_of_int n) in
+  (* The second operand's per-cell masses and centers, computed once
+     instead of once per outer cell (the same expressions, so the same
+     bits). *)
+  let ym = Array.make ny 0.0 and yc = Array.make ny 0.0 in
+  for j = 0 to ny - 1 do
+    Array.unsafe_set ym j (Array.unsafe_get yd j *. ystep);
+    Array.unsafe_set yc j (ylo +. ((float_of_int j +. 0.5) *. ystep))
+  done;
   let cells = scratch_cells arena n in
   let acc = [| 0.0; 0.0 |] in
   for i = 0 to nx - 1 do
@@ -265,15 +278,23 @@ let sum ?n ?arena px py =
     if mx > 0.0 then begin
       let x = xlo +. ((float_of_int i +. 0.5) *. xstep) in
       for j = 0 to ny - 1 do
-        let my = Array.unsafe_get yd j *. ystep in
+        let my = Array.unsafe_get ym j in
         if my > 0.0 then begin
-          let v = x +. (ylo +. ((float_of_int j +. 0.5) *. ystep)) in
+          let v = x +. Array.unsafe_get yc j in
           let mass = mx *. my in
           if mass > 0.0 then begin
             if v < lo || v > grid_hi then
               Array.unsafe_set acc 1 (Array.unsafe_get acc 1 +. mass);
             let u = ((v -. lo) /. step) -. 0.5 in
-            let iu = int_of_float (Float.floor u) in
+            (* [int_of_float (Float.floor u)] without the C call:
+               truncate, then step down when truncation rounded a
+               negative fraction up.  Below -2^52 every float is
+               integral, so the step is skipped there and the result
+               is the same int for every u, NaN and infinities too. *)
+            let tu = int_of_float u in
+            let iu =
+              if u > -0x1p52 && float_of_int tu > u then tu - 1 else tu
+            in
             let frac = u -. float_of_int iu in
             let m0 = mass *. (1.0 -. frac) in
             if m0 > 0.0 then begin

@@ -11,6 +11,15 @@ let check_close_abs ?(tol = 1e-9) msg expected actual =
     Alcotest.failf "%s: expected %.12g, got %.12g (abs tol %g)" msg expected
       actual tol
 
+(* Relative bound: |expected - actual| <= tol * |expected|.  For
+   quantities far below 1 (delays in seconds, variances) [check_close]'s
+   scale floor of 1 makes its bound absolute, and any tol above the
+   values themselves passes everything. *)
+let check_rel ?(tol = 1e-9) msg expected actual =
+  if Float.abs (expected -. actual) > tol *. Float.abs expected then
+    Alcotest.failf "%s: expected %.12g, got %.12g (rel tol %g)" msg expected
+      actual tol
+
 let check_true msg cond = Alcotest.(check bool) msg true cond
 let check_int msg expected actual = Alcotest.(check int) msg expected actual
 

@@ -116,8 +116,8 @@ let test_path_max_matches_monte_carlo () =
     Monte_carlo.circuit_delay_samples sampler ~n:1200 (Rng.create 12)
   in
   let s = Stats.summarize mc in
-  check_close ~tol:0.03 "mean within 3% of MC" s.Stats.mean pm.Path_max.mean;
-  check_close ~tol:0.3 "std within 30% of MC" s.Stats.std pm.Path_max.std
+  check_rel ~tol:0.03 "mean within 3% of MC" s.Stats.mean pm.Path_max.mean;
+  check_rel ~tol:0.3 "std within 30% of MC" s.Stats.std pm.Path_max.std
 
 let test_path_max_yield_brackets () =
   let _, _, m = methodology () in

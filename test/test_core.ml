@@ -56,7 +56,7 @@ let test_intra_pdf_zero_mean_gaussian () =
   in
   let p = Intra.pdf fast_config pc in
   check_close_abs ~tol:1e-15 "zero mean" 0.0 (Pdf.mean p);
-  check_close ~tol:2e-2 "std = sqrt of Eq.14 variance"
+  check_rel ~tol:2e-2 "std = sqrt of Eq.14 variance"
     (Intra.sigma fast_config pc)
     (Pdf.std p);
   check_int "discretized at Qintra" fast_config.Config.quality_intra
@@ -110,7 +110,7 @@ let test_inter_scales_with_alpha () =
   let tables = Inter.tables fast_config in
   let small = Inter.pdf tables ~alpha_sum:1e-6 ~beta_sum:1e-6 in
   let large = Inter.pdf tables ~alpha_sum:2e-6 ~beta_sum:2e-6 in
-  check_close ~tol:2e-2 "doubling coefficients doubles the mean"
+  check_rel ~tol:2e-2 "doubling coefficients doubles the mean"
     (2.0 *. Pdf.mean small) (Pdf.mean large);
   check_raises_invalid "rejects non-positive sums" (fun () ->
       ignore (Inter.pdf tables ~alpha_sum:0.0 ~beta_sum:1.0))
@@ -139,7 +139,7 @@ let test_path_analysis_consistency () =
       ((a.Path_analysis.inter_sigma ** 2.0)
       +. (a.Path_analysis.intra_sigma ** 2.0))
   in
-  check_close ~tol:5e-2 "variances add" expect a.Path_analysis.std;
+  check_rel ~tol:5e-2 "variances add" expect a.Path_analysis.std;
   check_close ~tol:1e-12 "confidence point definition"
     (a.Path_analysis.mean +. (3.0 *. a.Path_analysis.std))
     a.Path_analysis.confidence_point;
@@ -158,6 +158,56 @@ let test_longer_path_larger_sigma () =
   in
   check_true "longer path has larger absolute sigma"
     (sigma long_ > sigma short)
+
+(* ---------------- Reference pipeline ---------------- *)
+
+let ref_c1355 =
+  lazy
+    (let config = { fast_config with Config.max_paths = 200 } in
+     let circuit, placement =
+       Iscas85.build_placed (Option.get (Iscas85.by_name "c1355"))
+     in
+     (config, Methodology.run ~config ~placement circuit))
+
+(* Every ranked analysis equals the per-path pipeline re-made from the
+   public calls, bit for bit, and its worst-case delay equals the
+   corner model summed over the path's gates. *)
+let test_matches_reference_pipeline () =
+  let config, m = Lazy.force ref_c1355 in
+  let graph = m.Methodology.sta.Sta.graph in
+  let tables = Inter.tables config in
+  let cache = Inter.cache_create tables in
+  let bits = Int64.bits_of_float in
+  Array.iteri
+    (fun i r ->
+      let a = r.Ranking.analysis in
+      let coeffs = a.Path_analysis.coeffs in
+      let health = Ssta_runtime.Health.create () in
+      let intra = Intra.pdf config coeffs in
+      let inter = Inter.of_coeffs ~cache tables coeffs in
+      let total =
+        Ssta_runtime.Guard.sum ~n:config.Config.quality_intra health inter
+          intra
+      in
+      let mo = Pdf.moments total in
+      let same name x y =
+        check_true (Printf.sprintf "rank %d: %s bits" (i + 1) name)
+          (Int64.equal (bits x) (bits y))
+      in
+      check_true "reference clean" (Ssta_runtime.Health.is_clean health);
+      same "mean" mo.Pdf.m_mean a.Path_analysis.mean;
+      same "std" (sqrt mo.Pdf.m_var) a.Path_analysis.std;
+      same "intra sigma" (Pdf.std intra) a.Path_analysis.intra_sigma;
+      same "inter sigma" (Pdf.std inter) a.Path_analysis.inter_sigma;
+      same "worst case"
+        (Ssta_tech.Corner.path_delay ~k:config.Config.corner_k
+           Ssta_tech.Corner.Worst
+           (Paths.path_gates graph a.Path_analysis.path))
+        a.Path_analysis.worst_case;
+      check_true
+        (Printf.sprintf "rank %d: total PDF bits" (i + 1))
+        (pdf_bits_equal total a.Path_analysis.total_pdf))
+    m.Methodology.ranked
 
 (* ---------------- Ranking ---------------- *)
 
@@ -295,6 +345,8 @@ let suite =
         test_inter_pure_intra_budget_degenerates;
       case "path analysis consistency" test_path_analysis_consistency;
       case "longer paths have larger sigma" test_longer_path_larger_sigma;
+      case "analyses match the reference pipeline"
+        test_matches_reference_pipeline;
       case "ranking orders by confidence point"
         test_ranking_orders_by_confidence_point;
       case "ranking helpers" test_ranking_helpers;

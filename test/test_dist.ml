@@ -64,6 +64,23 @@ let prop_gaussian_mean_matches =
       let p = Dist.truncated_gaussian ~mu ~sigma () in
       Float.abs (Pdf.mean p -. mu) < 1e-6 *. (1.0 +. Float.abs mu))
 
+(* The direct loop must give the bits of the generic sampler it
+   replaced, on the scales the tool uses (seconds) and on unit ones. *)
+let prop_truncated_matches_of_fun =
+  qcheck "truncated gaussian == Pdf.of_fun of normal_pdf, bitwise"
+    QCheck.(
+      triple (float_range (-10.0) 10.0) (float_range (-30.0) 0.0)
+        (pair (int_range 1 300) (float_range 0.5 8.0)))
+    (fun (mu, log_sigma, (n, bound)) ->
+      let sigma = Float.exp log_sigma in
+      let span = bound *. sigma in
+      let reference =
+        Pdf.of_fun ~lo:(mu -. span) ~hi:(mu +. span) ~n (fun x ->
+            Erf.normal_pdf ~mu ~sigma x)
+      in
+      pdf_bits_equal reference
+        (Dist.truncated_gaussian ~n ~bound ~mu ~sigma ()))
+
 let suite =
   ( "dist",
     [ case "gaussian constructor" test_gaussian;
@@ -75,4 +92,5 @@ let suite =
       case "triangular" test_triangular;
       case "triangular edge modes" test_triangular_degenerate_edges;
       case "exponential" test_exponential;
-      prop_gaussian_mean_matches ] )
+      prop_gaussian_mean_matches;
+      prop_truncated_matches_of_fun ] )
